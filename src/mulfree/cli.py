@@ -125,8 +125,12 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 
 def config_from_ini(text: str) -> RunConfig:
+    """Parse a run config; malformed INI or a bad value raises ConfigError."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed INI config: {exc}") from exc
     field_types = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
     for section, keys in _SECTIONS.items():
@@ -135,21 +139,26 @@ def config_from_ini(text: str) -> RunConfig:
         for key in keys:
             if key not in parser[section] or key not in field_types:
                 continue
-            raw = parser[section][key]
-            if key in _INT_TUPLES:
-                kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key == "class_names":
-                kwargs[key] = tuple(raw.split(","))
-            elif key == "augment":
-                kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif key in ("variant", "data"):
-                kwargs[key] = raw
-            elif key in ("epochs", "batch_size", "seed", "num_classes", "knn_k",
-                         "points", "cycles", "synth_per_class", "synth_points"):
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
+            try:
+                kwargs[key] = _ini_value(key, parser[section][key])
+            except (configparser.Error, ValueError) as exc:
+                raise ConfigError(f"config [{section}] {key}: {exc}") from exc
     return RunConfig(**kwargs)
+
+
+def _ini_value(key: str, raw: str):
+    if key in _INT_TUPLES:
+        return tuple(int(v) for v in raw.split(","))
+    if key == "class_names":
+        return tuple(raw.split(","))
+    if key == "augment":
+        return raw.strip().lower() in ("1", "true", "yes", "on")
+    if key in ("variant", "data"):
+        return raw
+    if key in ("epochs", "batch_size", "seed", "num_classes", "knn_k",
+               "points", "cycles", "synth_per_class", "synth_points"):
+        return int(raw)
+    return float(raw)
 
 
 # --- datasets ---
@@ -188,6 +197,13 @@ def save_checkpoint(path, model, config_text: str) -> None:
         fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
 
 
+def _unpack(fmt: str, body: bytes, off: int, path) -> tuple:
+    try:
+        return struct.unpack_from(fmt, body, off)
+    except struct.error as exc:
+        raise CacheError(f"{path}: truncated checkpoint") from exc
+
+
 def load_checkpoint(path):
     """Returns (model, run_cfg). The embedded config rebuilds the architecture."""
     blob = Path(path).read_bytes()
@@ -196,27 +212,31 @@ def load_checkpoint(path):
     body, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise CacheError(f"{path}: checkpoint CRC mismatch")
-    version, cfg_len = struct.unpack_from("<HI", body, 0)
+    version, cfg_len = _unpack("<HI", body, 0, path)
     if version != 1:
         raise CacheError(f"{path}: unsupported checkpoint version {version}")
     off = 6
     config_text = body[off : off + cfg_len].decode()
     off += cfg_len
-    (count,) = struct.unpack_from("<I", body, off)
+    (count,) = _unpack("<I", body, off, path)
     off += 4
     tensors = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", body, off)
+        (nlen,) = _unpack("<H", body, off, path)
         off += 2
         name = body[off : off + nlen].decode()
         off += nlen
-        dcode, rank = struct.unpack_from("<BB", body, off)
+        dcode, rank = _unpack("<BB", body, off, path)
         off += 2
-        dims = struct.unpack_from(f"<{rank}I", body, off)
+        dims = _unpack(f"<{rank}I", body, off, path)
         off += 4 * rank
+        if dcode >= len(_DTYPES):
+            raise CacheError(f"{path}: tensor {name!r} has unknown dtype code {dcode}")
         dt = _DTYPES[dcode]
-        size = int(np.prod(dims)) * dt.itemsize
-        tensors[name] = np.frombuffer(body, dt, int(np.prod(dims)), off).reshape(dims).copy()
+        size = math.prod(dims) * dt.itemsize
+        if off + size > len(body):
+            raise CacheError(f"{path}: tensor {name!r} is truncated")
+        tensors[name] = np.frombuffer(body, dt, math.prod(dims), off).reshape(dims).copy()
         off += size
     run_cfg = config_from_ini(config_text)
     model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))

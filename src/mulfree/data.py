@@ -24,6 +24,7 @@ CACHE_MAGIC = b"SAPC"
 CACHE_VERSION = 1
 
 SYNTH_CLASSES = ["cube", "disk", "planes", "sphere"]
+_CUBE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # the two free axes of each cube face
 
 
 @dataclass
@@ -185,11 +186,9 @@ def _synth_cloud(cls: str, n: int, rng: np.random.Generator) -> np.ndarray:
         uv = rng.uniform(-1.0, 1.0, size=(n, 2))
         pts = np.empty((n, 3))
         axis = face % 3
-        side = np.where(face < 3, 1.0, -1.0)
-        for i in range(n):
-            others = [j for j in range(3) if j != axis[i]]
-            pts[i, axis[i]] = side[i]
-            pts[i, others] = uv[i]
+        rows = np.arange(n)
+        pts[rows, axis] = np.where(face < 3, 1.0, -1.0)
+        pts[rows[:, None], _CUBE_OTHERS[axis]] = uv
         return pts
     if cls == "disk":
         r = np.sqrt(rng.random(n))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DimensionError
 from .layers import (AdderLinear, BatchNorm, MaxPool, MulLinear, ReLU,
@@ -51,13 +52,14 @@ def layer_kind_sequence(variant: str) -> list[str]:
 
 
 def knn_group(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest neighbors of each point (self first, ties to lower index).
+    """Indices of the k nearest neighbors of each point, per cloud.
 
-    Selection runs on a unique integer key that orders by (distance, index):
-    IEEE-754 float32 bits map order-preservingly onto unsigned ints, which a
-    cheap argpartition can then select exactly, ties included. Clouds are
-    processed in slices to bound the n*n working set; per-cloud results do
-    not depend on the slicing.
+    Contract: self first, then ascending exact float64 squared distance of
+    the float32 coordinates, ties to the lower index. A per-cloud cKDTree
+    proposes m candidates; they are ranked exactly by (distance, index).
+    The tree sums the same float64 squares in the same order, so its window
+    holds the m nearest; only a tie at the window's edge can hide a
+    neighbor, and then the window doubles (m == n always ends it).
     """
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 3 or points.shape[-1] != 3:
@@ -65,23 +67,21 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     b, n, _ = points.shape
     if not 1 <= k <= n:
         raise DimensionError(f"knn_group: k={k} outside [1, {n}]")
-    diag = np.arange(n)
-    idx = np.arange(n, dtype=np.uint64)
+    rows = np.arange(n)[:, None]
     out = np.empty((b, n, k), np.int64)
-    step = max(1, (1 << 23) // (n * n))  # ~64 MB of uint64 keys per slice
-    for lo in range(0, b, step):
-        chunk = points[lo : lo + step]
-        sq = np.einsum("bnc,bnc->bn", chunk, chunk)
-        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (chunk @ chunk.transpose(0, 2, 1))
-        d2[:, diag, diag] = -1.0  # below any real distance, so self sorts first
-        bits = d2.view(np.uint32).astype(np.uint64)
-        # negative floats: flip all bits; non-negative: flip the sign bit only
-        ordkey = np.where(bits >> 31 == 1, ~bits & np.uint64(0xFFFFFFFF),
-                          bits | np.uint64(0x80000000))
-        key = ordkey * np.uint64(n) + idx
-        window = np.argpartition(key, k - 1, axis=-1)[:, :, :k]
-        order = np.argsort(np.take_along_axis(key, window, axis=-1), axis=-1)
-        out[lo : lo + step] = np.take_along_axis(window, order, axis=-1)
+    for c, cloud in enumerate(points.astype(np.float64)):
+        tree, m = cKDTree(cloud), min(n, k + 2)
+        while True:
+            cand = tree.query(cloud, m)[1].reshape(n, m)
+            diff = cloud[cand] - cloud[:, None, :]
+            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+            d2[cand == rows] = -1.0  # below any real distance, so self ranks first
+            order = np.lexsort((cand, d2))
+            ranked = np.take_along_axis(d2, order, axis=-1)
+            if m == n or np.all(ranked[:, k - 1] < ranked[:, -1]):
+                break
+            m = min(n, 2 * m)
+        out[c] = np.take_along_axis(cand, order[:, :k], axis=-1)
     return out
 
 

@@ -10,6 +10,7 @@ saturating to the representable range.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -81,10 +82,14 @@ def unpack_weights(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Parse a SAQ1 byte stream back into (sign, exponent) arrays."""
     if blob[:4] != MAGIC:
         raise EncodingError("not a SAQ1 stream")
+    if len(blob) < 8:
+        raise EncodingError("truncated SAQ1 header")
     (rank,) = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = int(np.prod(dims)) if rank else 1
     off = 8 + 4 * rank
+    if len(blob) < off:
+        raise EncodingError(f"SAQ1 rank {rank} does not fit a {len(blob)}-byte stream")
+    dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    count = math.prod(dims)
     nbytes = (count * 5 + 7) // 8
     stream = blob[off : off + nbytes]
     if len(blob) < off + nbytes + 4:

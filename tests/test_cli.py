@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -237,6 +239,41 @@ class TestDiagnostics:
         with pytest.raises(CacheError):
             load_checkpoint(bad)
 
+    @staticmethod
+    def resealed(tmp_path, edit):
+        """A small checkpoint whose body `edit` rewrites, with a fresh CRC."""
+        model = build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8, 8),
+                                        encoder_widths=(8, 8), head_widths=(8,),
+                                        num_classes=4, knn_k=2, points_in=32),
+                            substream(0, 0))
+        path = tmp_path / "resealed.bin"
+        save_checkpoint(path, model, config_to_ini(tiny_cfg(variant="mul")))
+        blob = path.read_bytes()
+        body = edit(bytearray(blob[4:-4]))
+        path.write_bytes(blob[:4] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        return path
+
+    @staticmethod
+    def first_record(body):
+        """Offset of the first tensor record inside a checkpoint body."""
+        _, cfg_len = struct.unpack_from("<HI", body, 0)
+        return 6 + cfg_len + 4
+
+    def test_checkpoint_unknown_dtype_code(self, tmp_path):
+        def edit(body):
+            rec = self.first_record(body)
+            (nlen,) = struct.unpack_from("<H", body, rec)
+            body[rec + 2 + nlen] = 200  # dtype code
+            return body
+        with pytest.raises(CacheError, match="dtype"):
+            load_checkpoint(self.resealed(tmp_path, edit))
+
+    def test_checkpoint_truncated_tensor_record(self, tmp_path):
+        for cut in (1, 5, 40):  # inside the name length, the header, the payload
+            with pytest.raises(CacheError, match="truncated"):
+                load_checkpoint(self.resealed(
+                    tmp_path, lambda body: body[: self.first_record(body) + cut]))
+
     def test_checkpoint_architecture_mismatch(self, sa_run, tmp_path):
         model, cfg = load_checkpoint(sa_run / "ckpt_last.bin")
         other = build_model(ModelConfig(variant="sa", embed_widths=(4, 4, 8, 8),
@@ -293,6 +330,13 @@ class TestMainEntry:
         assert cfg.variant == "shift"  # flags win over the file
         assert cfg.eta == 0.3          # file wins over defaults
         assert cfg.synth_points == 64
+
+    @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n"])
+    def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert main(["train", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"

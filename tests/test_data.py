@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from mulfree import data
 from mulfree.data import (MeshOff, augment, cache_read, cache_write,
                           ingest_modelnet40, load_dataset, normalize_cloud,
                           parse_off, read_off, sample_mesh, save_dataset,
@@ -226,6 +227,29 @@ class TestSynthShapes:
     def test_minimum_points(self):
         with pytest.raises(DimensionError):
             synth_shapes(4, 32, seed=0)
+
+    def test_cube_matches_per_point_loop(self, monkeypatch):
+        def cube_loop(n, rng):
+            face = rng.integers(0, 6, size=n)
+            uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+            pts = np.empty((n, 3))
+            axis = face % 3
+            side = np.where(face < 3, 1.0, -1.0)
+            for i in range(n):
+                others = [j for j in range(3) if j != axis[i]]
+                pts[i, axis[i]] = side[i]
+                pts[i, others] = uv[i]
+            return pts
+
+        np.testing.assert_array_equal(data._synth_cloud("cube", 500, make_rng(4)),
+                                      cube_loop(500, make_rng(4)))
+        # the same draws in the same order keep the whole dataset bit-identical
+        fast, _, _ = synth_shapes(6, 64, seed=2)
+        synth = data._synth_cloud
+        monkeypatch.setattr(data, "_synth_cloud", lambda cls, n, rng: (
+            cube_loop(n, rng) if cls == "cube" else synth(cls, n, rng)))
+        slow, _, _ = synth_shapes(6, 64, seed=2)
+        np.testing.assert_array_equal(fast.points, slow.points)
 
 
 class TestCache:

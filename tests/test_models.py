@@ -49,6 +49,44 @@ class TestKnnGroup:
         np.testing.assert_array_equal(idx[:, :, 0], np.arange(20)[None, :].repeat(3, 0))
 
 
+def knn_oracle(points, k):
+    """Brute force over all pairs: self first, then (float64 distance, index)."""
+    clouds = np.asarray(points, np.float32).astype(np.float64)
+    n = clouds.shape[1]
+    index = np.broadcast_to(np.arange(n), (n, n))
+    out = []
+    for cloud in clouds:
+        diff = cloud[None, :, :] - cloud[:, None, :]
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        np.fill_diagonal(d2, -1.0)
+        out.append(np.lexsort((index, d2))[:, :k])
+    return np.stack(out)
+
+
+LATTICE = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"),
+                   axis=-1).reshape(1, 64, 3).astype(np.float32)
+
+
+class TestKnnContract:
+    @pytest.mark.parametrize("b,n,k", [(32, 256, 4), (32, 1024, 16)])
+    def test_random_clouds_match_oracle(self, b, n, k):
+        pts = unit_cloud(make_rng(n), b, n)
+        np.testing.assert_array_equal(knn_group(pts, k), knn_oracle(pts, k))
+
+    @pytest.mark.parametrize("k", [1, 7, 27, 64])
+    def test_lattice_ties_match_oracle(self, k):
+        # every distance on an integer lattice is exact; at k = 7 and 27 ties
+        # reach past the candidate window and force it to widen
+        np.testing.assert_array_equal(knn_group(LATTICE, k), knn_oracle(LATTICE, k))
+
+    def test_cloud_result_independent_of_batch(self):
+        pts = unit_cloud(make_rng(5), 6, 128)
+        whole = knn_group(pts, 8)
+        for i in range(len(pts)):
+            np.testing.assert_array_equal(knn_group(pts[i : i + 1], 8)[0], whole[i])
+        np.testing.assert_array_equal(knn_group(pts[::-1], 8), whole[::-1])
+
+
 class TestStructure:
     def test_variant_kind_sequences(self):
         assert layer_kind_sequence("mul") == ["mul"] * 6

@@ -91,6 +91,14 @@ class TestWeightStream:
         with pytest.raises(EncodingError):
             unpack_weights(b"NOPE" + b"\x00" * 16)
 
+    def test_truncated_header(self):
+        with pytest.raises(EncodingError):
+            unpack_weights(b"SAQ1\x02\x00")
+
+    def test_rank_beyond_stream(self):
+        with pytest.raises(EncodingError):
+            unpack_weights(b"SAQ1" + (1 << 31).to_bytes(4, "little") + b"\x00" * 16)
+
 
 class TestFixedQ16:
     def test_definition_values(self):
