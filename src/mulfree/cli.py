@@ -204,6 +204,13 @@ def _unpack(fmt: str, body: bytes, off: int, path) -> tuple:
         raise CacheError(f"{path}: truncated checkpoint") from exc
 
 
+def _decode(raw: bytes, what: str, path) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: checkpoint {what} is not UTF-8") from exc
+
+
 def load_checkpoint(path):
     """Returns (model, run_cfg). The embedded config rebuilds the architecture."""
     blob = Path(path).read_bytes()
@@ -216,7 +223,7 @@ def load_checkpoint(path):
     if version != 1:
         raise CacheError(f"{path}: unsupported checkpoint version {version}")
     off = 6
-    config_text = body[off : off + cfg_len].decode()
+    config_text = _decode(body[off : off + cfg_len], "config", path)
     off += cfg_len
     (count,) = _unpack("<I", body, off, path)
     off += 4
@@ -224,7 +231,7 @@ def load_checkpoint(path):
     for _ in range(count):
         (nlen,) = _unpack("<H", body, off, path)
         off += 2
-        name = body[off : off + nlen].decode()
+        name = _decode(body[off : off + nlen], "tensor name", path)
         off += nlen
         dcode, rank = _unpack("<BB", body, off, path)
         off += 2
@@ -236,7 +243,11 @@ def load_checkpoint(path):
         size = math.prod(dims) * dt.itemsize
         if off + size > len(body):
             raise CacheError(f"{path}: tensor {name!r} is truncated")
-        tensors[name] = np.frombuffer(body, dt, math.prod(dims), off).reshape(dims).copy()
+        try:
+            arr = np.frombuffer(body, dt, math.prod(dims), off).reshape(dims)
+        except ValueError as exc:  # more dims than numpy allows, or an overflowing shape
+            raise CacheError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
+        tensors[name] = arr.copy()
         off += size
     run_cfg = config_from_ini(config_text)
     model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))

@@ -106,7 +106,11 @@ def parse_off(text: str) -> MeshOff:
 
 
 def read_off(path) -> MeshOff:
-    return parse_off(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: cannot decode OFF file: {exc}") from exc
+    return parse_off(text)
 
 
 def sample_mesh(mesh: MeshOff, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -199,14 +199,20 @@ class AdderLinear(Layer):
         self.w.grad = dyf.T @ xf - dyf.sum(axis=0)[:, None] * w
         if not need_input_grad:
             return None
-        # dX[r,i] = -sum_o dy[r,o] * clip(x[r,i] - w[o,i]); one pass per output channel
+        # dX[r,i] = -sum_o dy[r,o] * clip(x[r,i] - w[o,i]); one pass per output
+        # channel over each row slice, so every element sees the same operations
         dx = np.zeros_like(xf)
         tmp = np.empty_like(xf)
-        for o in range(self.c_out):
-            np.subtract(xf, w[o], out=tmp)
-            np.clip(tmp, -1.0, 1.0, out=tmp)
-            tmp *= dyf[:, o : o + 1]
-            dx -= tmp
+
+        def rows(a, b):
+            xs, ts, dxs, dys = xf[a:b], tmp[a:b], dx[a:b], dyf[a:b]
+            for o in range(self.c_out):
+                np.subtract(xs, w[o], out=ts)
+                np.clip(ts, -1.0, 1.0, out=ts)
+                ts *= dys[:, o : o + 1]
+                dxs -= ts
+
+        tensor.over_rows(rows, xf.shape[0])
         return dx.reshape(x.shape)
 
 

@@ -116,7 +116,8 @@ class PointCloudClassifier:
     def __init__(self, cfg: ModelConfig, rng):
         if len(cfg.embed_widths) != 4 or len(cfg.encoder_widths) != 2:
             raise ConfigError("expected 4 embedding widths and 2 encoder widths")
-        if min(*cfg.embed_widths, *cfg.encoder_widths, cfg.num_classes, cfg.knn_k) < 1:
+        if min(*cfg.embed_widths, *cfg.encoder_widths, *cfg.head_widths,
+               cfg.num_classes, cfg.knn_k) < 1:
             raise ConfigError("widths, classes and knn_k must be positive")
         self.cfg = cfg
         kinds = layer_kind_sequence(cfg.variant)
@@ -199,6 +200,9 @@ class PointCloudClassifier:
                 arr = mapping.get(name)
                 if arr is None:
                     raise ConfigError(f"checkpoint is missing tensor {name!r}")
+                if arr.shape != (b.norm.channels,):
+                    raise ConfigError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                      f"model expects {(b.norm.channels,)}")
                 setattr(b.norm, attr, arr.astype(np.float32, copy=False))
 
     def parameter_count(self, include_bias: bool = True) -> int:

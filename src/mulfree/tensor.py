@@ -5,9 +5,22 @@ convention. Kernels are dtype-preserving (float64 in gives float64 out,
 which the gradient-check suite relies on), and the affine and L1
 reductions always accumulate in float64 regardless of storage dtype so
 that a float32 result is rounded exactly once.
+
+Threading rule: the adder kernels (`pairwise_l1_neg` and the input
+gradient of `layers.AdderLinear`) split their input rows into one
+contiguous slice per core in the process's affinity mask and run the
+slices on a shared thread pool. Each row is computed with exactly the
+operations, in exactly the order, of a single-threaded pass, so results
+are bit-identical for any core count. Workers neither allocate large
+arrays (the caller preallocates every output and scratch array and a
+worker writes only its own rows of them) nor call public `mulfree` names,
+so tracing that wraps those names sees one thread.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,6 +32,7 @@ __all__ = [
     "substream",
     "affine_map",
     "pairwise_l1_neg",
+    "over_rows",
     "global_max_pool",
     "softmax_cross_entropy",
 ]
@@ -36,6 +50,33 @@ def substream(seed: int, key: int) -> np.random.Generator:
     consumers to one stream never perturbs the others.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
+_WORKERS = len(os.sched_getaffinity(0))
+
+
+def _new_pool() -> None:
+    """Threads start on first use, not at import. A forked child inherits the
+    pool but not its threads, so it gets a pool of its own."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS)
+
+
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
+
+
+def over_rows(fn, rows: int) -> None:
+    """Run fn(r0, r1) on one contiguous slice of [0, rows) per worker; wait for all.
+
+    fn must touch only rows r0:r1 of arrays its caller allocated. An
+    exception raised in any slice is re-raised here after every slice ends.
+    """
+    cuts = [rows * i // _WORKERS for i in range(_WORKERS + 1)]
+    futures = [_POOL.submit(fn, a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _flat_rows(x: np.ndarray) -> np.ndarray:
@@ -71,12 +112,17 @@ def pairwise_l1_neg(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise DimensionError(f"pairwise_l1_neg: input {x.shape} incompatible with weight {w.shape}")
-    d = cdist(
-        _flat_rows(x).astype(np.float64, copy=False),
-        w.astype(np.float64, copy=False),
-        "cityblock",
-    )
-    return (-d).reshape(x.shape[:-1] + (w.shape[0],)).astype(x.dtype, copy=False)
+    xf = _flat_rows(x).astype(np.float64, copy=False)
+    wf = w.astype(np.float64, copy=False)
+    d = np.empty((xf.shape[0], wf.shape[0]))
+    out = np.empty(d.shape, x.dtype)
+
+    def rows(a, b):
+        cdist(xf[a:b], wf, "cityblock", out=d[a:b])
+        np.negative(d[a:b], out=out[a:b], casting="unsafe")  # rounds as astype(x.dtype)
+
+    over_rows(rows, xf.shape[0])
+    return out.reshape(x.shape[:-1] + (w.shape[0],))
 
 
 def global_max_pool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

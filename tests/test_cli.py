@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from mulfree import tensor
 from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
                          cmd_sweep_density, cmd_train, config_from_ini,
                          config_to_ini, evaluate, load_checkpoint, load_datasets,
@@ -75,6 +76,17 @@ class TestTrain:
         assert canon(a) == canon(b)
         assert (a / "ckpt_last.bin").read_bytes() == (b / "ckpt_last.bin").read_bytes()
         assert (a / "ckpt_best.bin").read_bytes() == (b / "ckpt_best.bin").read_bytes()
+
+    def test_checkpoint_identical_under_any_row_split(self, tmp_path, monkeypatch):
+        # two desk epochs; the adder kernels split rows over one worker, then the default
+        def desk(name):
+            return cmd_train(RunConfig(variant="sa", epochs=2, seed=7, out=str(tmp_path / name)))
+
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_WORKERS", 1)
+            one = desk("one")
+        split = desk("split")
+        assert (one / "ckpt_last.bin").read_bytes() == (split / "ckpt_last.bin").read_bytes()
 
     def test_different_seed_differs(self, tmp_path, sa_run):
         c = cmd_train(tiny_cfg(seed=11, out=str(tmp_path / "c")))
@@ -274,6 +286,19 @@ class TestDiagnostics:
                 load_checkpoint(self.resealed(
                     tmp_path, lambda body: body[: self.first_record(body) + cut]))
 
+    @pytest.mark.parametrize("where", ["config", "tensor name"])
+    def test_checkpoint_non_utf8_text_exits_with_message(self, tmp_path, capsys, where):
+        def edit(body):
+            at = 7 if where == "config" else self.first_record(body) + 2
+            body[at] = 0xFF
+            return body
+        path = self.resealed(tmp_path, edit)
+        with pytest.raises(CacheError, match=f"{where} is not UTF-8"):
+            load_checkpoint(path)
+        assert main(["eval", "--ckpt", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_checkpoint_architecture_mismatch(self, sa_run, tmp_path):
         model, cfg = load_checkpoint(sa_run / "ckpt_last.bin")
         other = build_model(ModelConfig(variant="sa", embed_widths=(4, 4, 8, 8),
@@ -337,6 +362,20 @@ class TestMainEntry:
         ini.write_text(text)
         assert main(["train", "--config", str(ini)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_off_file_exits_with_message(self, tmp_path, capsys):
+        from test_data import QUAD_OFF
+        for split in ("train", "test"):
+            d = tmp_path / "meshes" / "slab" / split
+            d.mkdir(parents=True)
+            (d / "good.off").write_text(QUAD_OFF)
+        bad = tmp_path / "meshes" / "slab" / "test" / "bad.off"
+        bad.write_bytes(QUAD_OFF.encode().replace(b"1 1 0", b"1 \xff 0"))
+        rc = main(["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--epochs", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
 
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"

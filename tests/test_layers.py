@@ -182,6 +182,21 @@ def adder_grad_oracle(x, w, dy):
     return dw, dx
 
 
+def adder_input_grad_loop(x, w, dy):
+    """The single-threaded per-output-channel input-gradient pass, in the
+    storage dtype; the row-split backward must match it bit for bit."""
+    xf = x.reshape(-1, w.shape[1])
+    dyf = dy.reshape(-1, w.shape[0])
+    dx = np.zeros_like(xf)
+    tmp = np.empty_like(xf)
+    for o in range(w.shape[0]):
+        np.subtract(xf, w[o], out=tmp)
+        np.clip(tmp, -1.0, 1.0, out=tmp)
+        tmp *= dyf[:, o : o + 1]
+        dx -= tmp
+    return dx.reshape(x.shape)
+
+
 class TestAdderLinear:
     def test_forward_is_negative_l1(self):
         layer = AdderLinear(2, 1, make_rng(0))
@@ -234,6 +249,18 @@ class TestAdderLinear:
         dw_o, dx_o = adder_grad_oracle(x, layer.w.data, dy)
         np.testing.assert_allclose(layer.w.grad, dw_o, rtol=0, atol=1e-6)
         np.testing.assert_allclose(dx.reshape(-1, 6), dx_o, rtol=0, atol=1e-6)
+
+    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them
+    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512)])
+    def test_row_split_input_grad_bit_identical_to_loop(self, row_workers, rows, ci, co):
+        rng = make_rng(rows + 1)
+        layer = AdderLinear(ci, co, rng)
+        x = rng.uniform(-3, 3, (rows, ci)).astype(np.float32)  # spans both clip regions
+        dy = rng.standard_normal((rows, co)).astype(np.float32)
+        layer.forward(x)
+        dx = layer.backward(dy)
+        assert dx.dtype == np.float32
+        assert np.array_equal(dx, adder_input_grad_loop(x, layer.w.data, dy))
 
     def test_opposite_sign_structure_inside_clip_region(self):
         rng = make_rng(14)

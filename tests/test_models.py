@@ -117,6 +117,9 @@ class TestStructure:
     def test_bad_widths(self):
         with pytest.raises(ConfigError):
             build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8)), substream(0, 0))
+        with pytest.raises(ConfigError):
+            build_model(ModelConfig(variant="mul", **{**SMALL, "head_widths": (8, -2)}),
+                        substream(0, 0))
 
 
 class TestForward:
@@ -210,6 +213,9 @@ class TestState:
         first = next(iter(bad))
         bad[first] = np.zeros((1, 1), np.float32)
         with pytest.raises(ConfigError):
+            m.load_state(bad)
+        bad = {**state, "embed1.bn.running_var": np.ones(3, np.float32)}
+        with pytest.raises(ConfigError, match="running_var"):
             m.load_state(bad)
 
     def test_load_state_missing_tensor(self):

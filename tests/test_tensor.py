@@ -1,12 +1,15 @@
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mulfree.errors import DimensionError, EmptyInputError, LabelError
-from mulfree.tensor import (affine_map, global_max_pool, make_rng,
+from mulfree.tensor import (affine_map, global_max_pool, make_rng, over_rows,
                             pairwise_l1_neg, softmax_cross_entropy, substream)
 
 from gradcheck import assert_grad_close, central_diff
@@ -116,6 +119,47 @@ class TestPairwiseL1Neg:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             pairwise_l1_neg(np.zeros((1, 2, 3)), np.zeros((2, 4)))
+
+    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them
+    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512)])
+    def test_row_split_bit_identical_to_one_cdist_call(self, row_workers, rows, ci, co):
+        rng = make_rng(rows)
+        x = rng.uniform(-2, 2, (rows, ci)).astype(np.float32)
+        w = rng.uniform(-2, 2, (co, ci)).astype(np.float32)
+        whole = (-cdist(x.astype(np.float64), w.astype(np.float64), "cityblock")).astype(np.float32)
+        y = pairwise_l1_neg(x, w)
+        assert y.dtype == np.float32 and np.array_equal(y, whole)
+
+
+class TestOverRows:
+    @pytest.mark.parametrize("rows", [0, 1, 7, 1000])
+    def test_each_row_visited_once(self, row_workers, rows):
+        hits = np.zeros(rows, np.int64)
+
+        def visit(a, b):
+            hits[a:b] += 1
+
+        over_rows(visit, rows)
+        np.testing.assert_array_equal(hits, 1)
+
+    def test_slice_error_is_raised_to_caller(self, row_workers):
+        def fail(a, b):
+            if a == 0:
+                raise EmptyInputError("first slice")
+
+        with pytest.raises(EmptyInputError, match="first slice"):
+            over_rows(fail, 10)
+
+    def test_forked_child_gets_working_pool(self):
+        x = make_rng(0).uniform(-1, 1, (64, 8)).astype(np.float32)
+        w = make_rng(1).uniform(-1, 1, (4, 8)).astype(np.float32)
+        expected = pairwise_l1_neg(x, w)  # the parent's pool threads are running
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(10)  # a child left waiting on the parent's threads dies here
+            os._exit(0 if np.array_equal(pairwise_l1_neg(x, w), expected) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGlobalMaxPool:
