@@ -17,7 +17,6 @@ import math
 import struct
 import sys
 import time
-import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 from . import shiftquant
 from .data import PointDataset, augment, ingest_modelnet40, subsample_density, synth_shapes
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
+from .framing import frame, unframe
 from .layers import AdderLinear, ShiftLinear
 from .models import VARIANTS, ModelConfig, build_model, knn_group
 from .optim import build_optimizers, modulate_gradient, route_parameters
@@ -191,10 +191,7 @@ def save_checkpoint(path, model, config_text: str) -> None:
         body += struct.pack("<BB", _DTYPES.index(arr.dtype), arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
         body += arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+    Path(path).write_bytes(frame(CKPT_MAGIC, body))
 
 
 def _unpack(fmt: str, body: bytes, off: int, path) -> tuple:
@@ -213,12 +210,7 @@ def _decode(raw: bytes, what: str, path) -> str:
 
 def load_checkpoint(path):
     """Returns (model, run_cfg). The embedded config rebuilds the architecture."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != CKPT_MAGIC:
-        raise CacheError(f"{path}: not a checkpoint file")
-    body, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise CacheError(f"{path}: checkpoint CRC mismatch")
+    body = unframe(Path(path).read_bytes(), CKPT_MAGIC, CacheError, f"{path}: checkpoint")
     version, cfg_len = _unpack("<HI", body, 0, path)
     if version != 1:
         raise CacheError(f"{path}: unsupported checkpoint version {version}")
@@ -302,11 +294,10 @@ def cmd_train(cfg: RunConfig) -> Path:
     (out_dir / "config.ini").write_text(config_text)
 
     model = build_model(model_cfg, substream(cfg.seed, 0))
-    groups = route_parameters(model,
-                              adaptive_lr=(cfg.lr_adaptive_start, cfg.lr_adaptive_end),
-                              modulated_lr=(cfg.lr_modulated_start, cfg.lr_modulated_end),
-                              eta=cfg.eta)
-    optimizers = build_optimizers(groups, max(epochs, 1), cfg.cycles)
+    optimizers = build_optimizers(route_parameters(model),
+                                  (cfg.lr_adaptive_start, cfg.lr_adaptive_end),
+                                  (cfg.lr_modulated_start, cfg.lr_modulated_end),
+                                  cfg.eta, max(epochs, 1), cfg.cycles)
     shuffle_rng = substream(cfg.seed, 1)
     augment_rng = substream(cfg.seed, 2)
 
@@ -315,8 +306,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     with open(out_dir / "metrics.jsonl", "w") as metrics:
         for epoch in range(epochs):
             t0 = time.perf_counter()
-            lrs = {route.optimizer_kind: sched.lr_at(epoch)
-                   for _, sched, route in optimizers}
+            lrs = {opt.kind: sched.lr_at(epoch) for opt, sched in optimizers}
             perm = shuffle_rng.permutation(len(train_ds))
             loss_sum = 0.0
             correct = 0
@@ -337,8 +327,8 @@ def cmd_train(cfg: RunConfig) -> Path:
                 model.backward(dlogits)
                 for name, layer in model.instrumented_layers():
                     rms_sums[name] = rms_sums.get(name, 0.0) + _grad_rms(layer.w.grad)
-                for opt, _, route in optimizers:
-                    opt.step(lrs[route.optimizer_kind])
+                for opt, _ in optimizers:
+                    opt.step(lrs[opt.kind])
                 loss_sum += loss * len(sel)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
                 steps += 1
@@ -471,11 +461,12 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             dim = None
+            outputs: dict = {}
             for start in range(0, len(test_ds), cfg.batch_size):
                 pts = test_ds.points[start : start + cfg.batch_size]
                 labels = test_ds.labels[start : start + cfg.batch_size]
-                model.forward(pts, train=False)
-                feats = model.last_pooled
+                model.forward(pts, train=False, observe=outputs.__setitem__)
+                feats = outputs["global_pool"]
                 if dim is None:
                     dim = feats.shape[1]
                     writer.writerow(["label"] + [f"f{i}" for i in range(dim)])

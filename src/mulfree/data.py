@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheError, DegenerateCloudError, DimensionError, MeshError
+from .errors import CacheError, DegenerateCloudError, DimensionError, MeshError, MulfreeError
+from .framing import frame, unframe
 from .tensor import substream
 
 CACHE_MAGIC = b"SAPC"
@@ -109,7 +109,7 @@ def read_off(path) -> MeshOff:
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise MeshError(f"{path}: cannot decode OFF file: {exc}") from exc
+        raise MeshError(f"cannot decode OFF file: {exc}") from exc
     return parse_off(text)
 
 
@@ -251,22 +251,13 @@ def cache_write(path, points: np.ndarray, labels: np.ndarray, n_classes: int) ->
     for i in range(count):
         body += struct.pack("<H", int(labels[i]))
         body += points[i].tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+    Path(path).write_bytes(frame(CACHE_MAGIC, body))
 
 
 def cache_read(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Read one split back; raises CacheError on any corruption."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != CACHE_MAGIC:
-        raise CacheError(f"{path}: not a SAPC cache")
-    if len(blob) < 4 + 10 + 4:
-        raise CacheError(f"{path}: truncated header")
-    body, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise CacheError(f"{path}: CRC mismatch")
+    body = unframe(Path(path).read_bytes(), CACHE_MAGIC, CacheError, f"{path}: SAPC cache",
+                   min_body=10)
     version, count, n_classes, n = struct.unpack_from("<HIHH", body, 0)
     if version != CACHE_VERSION:
         raise CacheError(f"{path}: unsupported cache version {version}")
@@ -328,8 +319,11 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024, seed: int = 7,
         for split in ("train", "test"):
             pts, labs, ids = splits[split]
             for off_file in sorted((root / cls / split).glob("*.off")):
-                cloud = sample_mesh(read_off(off_file), points_per_cloud, rng)
-                pts.append(normalize_cloud(cloud))
+                try:
+                    cloud = sample_mesh(read_off(off_file), points_per_cloud, rng)
+                    pts.append(normalize_cloud(cloud))
+                except MulfreeError as exc:
+                    raise type(exc)(f"{off_file}: {exc}") from exc
                 labs.append(label)
                 ids.append(f"{cls}/{split}/{off_file.name}")
     (tr_p, tr_l, tr_i), (te_p, te_l, te_i) = splits["train"], splits["test"]

@@ -6,6 +6,14 @@ that re-concatenates global xyz coordinates before each layer, a global
 max-pool, and a fully connected head. Variants differ only in which
 linear family the embedding/encoder layers use; the head is always
 multiplication-based.
+
+The graph is written down once, as the classifier's ordered `stages`
+list of (name, layer) pairs: each linear layer is followed by its
+"<name>.bn" batch norm and "<name>.relu", the pools are "neighbor_pool"
+and "global_pool", and "encoder<i>.xyz" appends the coordinates. `forward`
+runs the list and `backward` runs it reversed. `forward(observe=...)`
+hands every stage output to a callback, which the feature export and
+the divergence diagnosis use.
 """
 
 from __future__ import annotations
@@ -16,12 +24,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DimensionError
-from .layers import (AdderLinear, BatchNorm, MaxPool, MulLinear, ReLU,
+from .layers import (AdderLinear, BatchNorm, Layer, MaxPool, MulLinear, ReLU,
                      ShiftLinear, concat_coords)
 
 VARIANTS = ("mul", "shift", "add", "sa")
 
 _LINEAR = {"mul": MulLinear, "shift": ShiftLinear, "adder": AdderLinear}
+_LINEAR_TYPES = tuple(_LINEAR.values())
 
 
 @dataclass
@@ -85,29 +94,16 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-class LinearBlock:
-    """Variant linear layer + batch norm + ReLU."""
+class CoordConcat(Layer):
+    """Appends the current batch's xyz (`points`) to every point's features."""
 
-    def __init__(self, kind: str, c_in: int, c_out: int, rng, name: str):
-        self.name = name
-        self.linear = _LINEAR[kind](c_in, c_out, rng, name=name)
-        self.norm = BatchNorm(c_out, name=f"{name}.bn")
-        self.act = ReLU()
+    points = None
 
-    def forward(self, x, train: bool, fixed_shift: bool = False):
-        if fixed_shift and not train and isinstance(self.linear, ShiftLinear):
-            y = self.linear.forward_fixed(x)
-        else:
-            y = self.linear.forward(x, train)
-        return self.act.forward(self.norm.forward(y, train), train)
+    def forward(self, x, train: bool = True):
+        return concat_coords(x, self.points)
 
     def backward(self, dy, need_input_grad: bool = True):
-        d = self.act.backward(dy)
-        d = self.norm.backward(d)
-        return self.linear.backward(d, need_input_grad)
-
-    def params(self):
-        return self.linear.params() + self.norm.params()
+        return dy[..., :-3]  # the coordinates need no gradient
 
 
 class PointCloudClassifier:
@@ -120,90 +116,67 @@ class PointCloudClassifier:
                cfg.num_classes, cfg.knn_k) < 1:
             raise ConfigError("widths, classes and knn_k must be positive")
         self.cfg = cfg
-        kinds = layer_kind_sequence(cfg.variant)
-        e1, e2, e3, e4 = cfg.embed_widths
-        c1, c2 = cfg.encoder_widths
+        self.coords = CoordConcat()
+        self.stages: list[tuple[str, Layer]] = []
+        kinds = iter(layer_kind_sequence(cfg.variant))
 
-        # neighbor features are [offset | center] = 6 channels
-        self.embed = [
-            LinearBlock(kinds[0], 6, e1, rng, "embed1"),
-            LinearBlock(kinds[1], e1, e2, rng, "embed2"),
-            LinearBlock(kinds[2], e2, e3, rng, "embed3"),
-            LinearBlock(kinds[3], e3, e4, rng, "embed4"),
-        ]
-        self.neighbor_pool = MaxPool()
-        self.encoder = [
-            LinearBlock(kinds[4], e4 + 3, c1, rng, "encoder1"),
-            LinearBlock(kinds[5], c1 + 3, c2, rng, "encoder2"),
-        ]
-        self.global_pool = MaxPool()
+        def block(kind, name, c_in, c_out):
+            self.stages.extend([(name, _LINEAR[kind](c_in, c_out, rng, name=name)),
+                                (f"{name}.bn", BatchNorm(c_out, name=f"{name}.bn")),
+                                (f"{name}.relu", ReLU())])
 
-        self.head = []
-        h_in = c2
-        for i, h in enumerate(cfg.head_widths):
-            self.head.append((MulLinear(h_in, h, rng, name=f"head{i + 1}"), ReLU()))
-            h_in = h
-        self.head_out = MulLinear(h_in, cfg.num_classes, rng, name="head_out")
-
-        self.last_pooled: np.ndarray | None = None
+        c_in = 6  # neighbor features are [offset | center]
+        for i, width in enumerate(cfg.embed_widths, 1):
+            block(next(kinds), f"embed{i}", c_in, width)
+            if i == 2:
+                self.stages.append(("neighbor_pool", MaxPool()))
+            c_in = width
+        for i, width in enumerate(cfg.encoder_widths, 1):
+            self.stages.append((f"encoder{i}.xyz", self.coords))
+            block(next(kinds), f"encoder{i}", c_in + 3, width)
+            c_in = width
+        self.stages.append(("global_pool", MaxPool()))
+        for i, width in enumerate(cfg.head_widths, 1):
+            self.stages.extend([(f"head{i}", MulLinear(c_in, width, rng, name=f"head{i}")),
+                                (f"head{i}.relu", ReLU())])
+            c_in = width
+        self.stages.append(("head_out", MulLinear(c_in, cfg.num_classes, rng, name="head_out")))
 
     # --- plumbing ---
 
-    def blocks(self) -> list[LinearBlock]:
-        return self.embed + self.encoder
-
     def linear_layers(self):
         """(name, layer) for every linear layer, embedding/encoder first, then head."""
-        out = [(b.name, b.linear) for b in self.blocks()]
-        out += [(lin.name, lin) for lin, _ in self.head]
-        out.append((self.head_out.name, self.head_out))
-        return out
+        return [(n, l) for n, l in self.stages if isinstance(l, _LINEAR_TYPES)]
 
     def instrumented_layers(self):
         """The embedding/encoder linear layers the gradient reports cover."""
-        return [(b.name, b.linear) for b in self.blocks()]
+        return [(n, l) for n, l in self.linear_layers() if not n.startswith("head")]
 
     def parameters(self):
-        params = []
-        for b in self.blocks():
-            params.extend(b.params())
-        for lin, _ in self.head:
-            params.extend(lin.params())
-        params.extend(self.head_out.params())
-        return params
+        return [p for _, layer in self.stages for p in layer.params()]
 
-    def norm_buffers(self):
-        """(name, array) pairs of the running batch-norm statistics."""
-        out = []
-        for b in self.blocks():
-            out.append((f"{b.norm.name}.running_mean", b.norm.running_mean))
-            out.append((f"{b.norm.name}.running_var", b.norm.running_var))
-        return out
+    def _state_slots(self):
+        """(name, owner, attribute) of every tensor in state_items, in order."""
+        slots = [(p.name, p, "data") for p in self.parameters()]
+        for _, norm in self.stages:
+            if isinstance(norm, BatchNorm):
+                slots += [(f"{norm.name}.{a}", norm, a) for a in ("running_mean", "running_var")]
+        return slots
 
     def state_items(self):
         """All persistent tensors: trainable parameters plus running norm stats."""
-        return [(p.name, p.data) for p in self.parameters()] + self.norm_buffers()
+        return [(name, getattr(owner, attr)) for name, owner, attr in self._state_slots()]
 
     def load_state(self, mapping: dict) -> None:
         """Assign saved tensors by name; missing names or shape drift raise ConfigError."""
-        for p in self.parameters():
-            arr = mapping.get(p.name)
+        for name, owner, attr in self._state_slots():
+            arr, want = mapping.get(name), getattr(owner, attr).shape
             if arr is None:
-                raise ConfigError(f"checkpoint is missing tensor {p.name!r}")
-            if arr.shape != p.data.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {p.name!r} has shape {arr.shape}, model expects {p.data.shape}")
-            p.data = arr.astype(np.float32, copy=False)
-        for b in self.blocks():
-            for attr in ("running_mean", "running_var"):
-                name = f"{b.norm.name}.{attr}"
-                arr = mapping.get(name)
-                if arr is None:
-                    raise ConfigError(f"checkpoint is missing tensor {name!r}")
-                if arr.shape != (b.norm.channels,):
-                    raise ConfigError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                                      f"model expects {(b.norm.channels,)}")
-                setattr(b.norm, attr, arr.astype(np.float32, copy=False))
+                raise ConfigError(f"checkpoint is missing tensor {name!r}")
+            if arr.shape != want:
+                raise ConfigError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"model expects {want}")
+            setattr(owner, attr, arr.astype(np.float32, copy=False))
 
     def parameter_count(self, include_bias: bool = True) -> int:
         total = 0
@@ -214,13 +187,15 @@ class PointCloudClassifier:
         return total
 
     def kind_sequence(self) -> list[str]:
-        return [b.linear.kind for b in self.blocks()]
+        return [l.kind for _, l in self.instrumented_layers()]
 
     # --- forward / backward ---
 
     def forward(self, points: np.ndarray, train: bool = False,
-                fixed_shift: bool = False, neighbor_idx: np.ndarray | None = None
-                ) -> np.ndarray:
+                fixed_shift: bool = False, neighbor_idx: np.ndarray | None = None,
+                observe=None) -> np.ndarray:
+        """Logits [b, classes]. fixed_shift runs eval-mode shift layers through the
+        Q16.16 kernel; observe(name, output) is called after every stage."""
         points = np.asarray(points)
         if points.ndim != 3 or points.shape[-1] != 3:
             raise DimensionError(f"forward expects [batch, points, 3], got {points.shape}")
@@ -229,67 +204,35 @@ class PointCloudClassifier:
         batch_ix = np.arange(points.shape[0])[:, None, None]
         neigh = points[batch_ix, idx]  # [b, n, k, 3]
         center = points[:, :, None, :]
-        feats = np.concatenate(
-            [neigh - center, np.broadcast_to(center, neigh.shape)], axis=-1)
-
-        x = self.embed[0].forward(feats, train, fixed_shift)
-        x = self.embed[1].forward(x, train, fixed_shift)
-        x = self.neighbor_pool.forward(x, train)  # [b, n, e2]
-        x = self.embed[2].forward(x, train, fixed_shift)
-        x = self.embed[3].forward(x, train, fixed_shift)
-        for blk in self.encoder:
-            x = blk.forward(concat_coords(x, points), train, fixed_shift)
-        pooled = self.global_pool.forward(x, train)  # [b, c2]
-        self.last_pooled = pooled
-
-        h = pooled
-        for lin, act in self.head:
-            h = act.forward(lin.forward(h, train), train)
-        return self.head_out.forward(h, train)
+        x = np.concatenate([neigh - center, np.broadcast_to(center, neigh.shape)], axis=-1)
+        self.coords.points = points
+        for name, layer in self.stages:
+            if fixed_shift and not train and isinstance(layer, ShiftLinear):
+                x = layer.forward_fixed(x)
+            else:
+                x = layer.forward(x, train)
+            if observe is not None:
+                observe(name, x)
+        return x
 
     def backward(self, dlogits: np.ndarray) -> None:
-        d = self.head_out.backward(dlogits)
-        for lin, act in reversed(self.head):
-            d = lin.backward(act.backward(d))
-        d = self.global_pool.backward(d)
-        for blk in reversed(self.encoder):
-            d = blk.backward(d)[..., :-3]  # drop the concatenated coordinate channels
-        d = self.embed[3].backward(d)
-        d = self.embed[2].backward(d)
-        d = self.neighbor_pool.backward(d)
-        d = self.embed[1].backward(d)
-        self.embed[0].backward(d, need_input_grad=False)  # geometry needs no gradient
+        d = dlogits
+        for _, layer in reversed(self.stages[1:]):
+            d = layer.backward(d)
+        self.stages[0][1].backward(d, need_input_grad=False)  # geometry needs no gradient
 
     def diagnose(self, points: np.ndarray) -> str | None:
-        """Re-run a forward naming the first stage with a non-finite output."""
-        x = np.asarray(points)
-        if not np.all(np.isfinite(x)):
+        """Replay a train-mode forward; name the first stage with a non-finite output."""
+        if not np.all(np.isfinite(points)):
             return "input"
-        idx = knn_group(x, self.cfg.knn_k)
-        batch_ix = np.arange(x.shape[0])[:, None, None]
-        neigh = x[batch_ix, idx]
-        center = x[:, :, None, :]
-        cur = np.concatenate([neigh - center, np.broadcast_to(center, neigh.shape)], axis=-1)
-        stages = [(self.embed[0].name, self.embed[0]), (self.embed[1].name, self.embed[1]),
-                  ("neighbor_pool", self.neighbor_pool)]
-        stages += [(b.name, b) for b in self.embed[2:]]
-        for name, stage in stages:
-            cur = stage.forward(cur, train=False)
-            if not np.all(np.isfinite(cur)):
-                return name
-        for blk in self.encoder:
-            cur = blk.forward(concat_coords(cur, x), train=False)
-            if not np.all(np.isfinite(cur)):
-                return blk.name
-        cur = self.global_pool.forward(cur, train=False)
-        for lin, act in self.head:
-            cur = act.forward(lin.forward(cur, train=False), train=False)
-            if not np.all(np.isfinite(cur)):
-                return lin.name
-        cur = self.head_out.forward(cur, train=False)
-        if not np.all(np.isfinite(cur)):
-            return self.head_out.name
-        return None
+        bad = []
+
+        def observe(name, out):
+            if not bad and not np.all(np.isfinite(out)):
+                bad.append(name)
+
+        self.forward(points, train=True, observe=observe)
+        return bad[0] if bad else None
 
 
 def build_model(cfg: ModelConfig, rng) -> PointCloudClassifier:

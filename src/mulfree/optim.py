@@ -4,15 +4,17 @@ Adder weights are updated with modulated SGD: the raw gradient is rescaled
 so its root-mean-square equals a fixed constant eta, which makes one
 learning rate work across adder layers whose raw gradient magnitudes vary
 by orders of magnitude. Everything else (mul, shift, norm parameters) uses
-a bias-corrected first/second-moment optimizer. Rates follow a cosine
-annealing schedule.
+a bias-corrected first/second-moment optimizer. The RULES table maps each
+parameter's layer kind to its optimizer kind; `route_parameters` groups a
+model's parameters by it and `build_optimizers` pairs each group with its
+optimizer and a cosine-annealed learning rate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +22,9 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-ADAPTIVE_LR = (1e-3, 1e-6)
-MODULATED_LR = (2e-2, 2e-3)
-DEFAULT_ETA = 0.2
-
-# layer kind -> optimizer kind; overridable through OptimRoute construction
-DEFAULT_ROUTING = {"mul": "adaptive_moment", "shift": "adaptive_moment",
-                   "norm": "adaptive_moment", "adder": "modulated_sgd"}
+# layer kind -> optimizer kind
+RULES = {"mul": "adaptive_moment", "shift": "adaptive_moment",
+         "norm": "adaptive_moment", "adder": "modulated_sgd"}
 
 
 def modulate_gradient(g: np.ndarray, eta: float) -> np.ndarray:
@@ -47,33 +45,6 @@ def modulate_gradient(g: np.ndarray, eta: float) -> np.ndarray:
 def modulated_sgd_step(w: np.ndarray, g: np.ndarray, lr: float, eta: float) -> np.ndarray:
     """w' = w - lr * modulate_gradient(g, eta); no momentum, no weight decay."""
     return (w - lr * modulate_gradient(g, eta)).astype(w.dtype, copy=False)
-
-
-@dataclass
-class MomentState:
-    """First/second moment accumulators for one parameter tensor."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros_like(cls, w: np.ndarray) -> "MomentState":
-        return cls(np.zeros_like(w), np.zeros_like(w))
-
-
-def adaptive_moment_step(w: np.ndarray, g: np.ndarray, state: MomentState, lr: float,
-                         beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-                         ) -> tuple[np.ndarray, MomentState]:
-    """Bias-corrected moment update (beta1 0.9, beta2 0.999, eps 1e-8)."""
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    w2 = w - lr * mhat / (np.sqrt(vhat) + eps)
-    return w2.astype(w.dtype, copy=False), MomentState(m.astype(w.dtype, copy=False),
-                                                       v.astype(w.dtype, copy=False), t)
 
 
 @dataclass
@@ -103,70 +74,55 @@ class CosineSchedule:
         return self.lr_end + 0.5 * (self.lr_start - self.lr_end) * (1.0 + math.cos(math.pi * frac))
 
 
-@dataclass
-class OptimRoute:
-    """Binding of a layer kind to an optimizer kind, rate range and eta."""
-
-    layer_kind: str
-    optimizer_kind: str
-    lr_start: float
-    lr_end: float
-    eta: float | None = None
-
-    def __post_init__(self):
-        if self.optimizer_kind == "modulated_sgd" and not (self.eta and self.eta > 0):
-            raise ConfigError("modulated_sgd requires eta > 0")
-
-
-@dataclass
-class ParamGroup:
-    route: OptimRoute
-    params: list = field(default_factory=list)
-
-
-def route_parameters(model, adaptive_lr=ADAPTIVE_LR, modulated_lr=MODULATED_LR,
-                     eta: float = DEFAULT_ETA) -> list[ParamGroup]:
-    """Partition trainables: adder weights -> modulated SGD, the rest -> adaptive moments.
+def route_parameters(model) -> dict[str, list]:
+    """Group trainables by optimizer kind, RULES[p.kind].
 
     Every parameter lands in exactly one group; an unknown kind raises
-    ConfigError. Empty groups are dropped (a homogeneous model yields one).
+    ConfigError. Only non-empty groups appear (a homogeneous model has one).
     """
-    adaptive = ParamGroup(OptimRoute("mul/shift/norm", "adaptive_moment", *adaptive_lr))
-    modulated = ParamGroup(OptimRoute("adder", "modulated_sgd", *modulated_lr, eta=eta))
-    seen = set()
+    groups: dict[str, list] = {}
     for p in model.parameters():
-        if id(p) in seen:
-            raise ConfigError(f"parameter {p.name} listed twice")
-        seen.add(id(p))
-        if p.kind in ("mul", "shift", "norm"):
-            adaptive.params.append(p)
-        elif p.kind == "adder":
-            modulated.params.append(p)
-        else:
+        if p.kind not in RULES:
             raise ConfigError(f"parameter {p.name} has unrouted kind {p.kind!r}")
-    return [g for g in (adaptive, modulated) if g.params]
+        groups.setdefault(RULES[p.kind], []).append(p)
+    return groups
 
 
 class AdaptiveMoment:
-    """Stateful wrapper applying adaptive_moment_step to a parameter list."""
+    """Bias-corrected moment update (beta1 0.9, beta2 0.999, eps 1e-8) with
+    (m, v, step count) kept per parameter."""
+
+    kind = "adaptive_moment"
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.hyper = (beta1, beta2, eps)
-        self.state = {p.name: MomentState.zeros_like(p.data) for p in self.params}
+        self.moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data), 0)
+                        for p in self.params}
 
     def step(self, lr: float):
-        b1, b2, eps = self.hyper
+        beta1, beta2, eps = self.hyper
         for p in self.params:
             if p.grad is None:
                 continue
-            g = p.grad.astype(p.data.dtype, copy=False)
-            p.data, self.state[p.name] = adaptive_moment_step(
-                p.data, g, self.state[p.name], lr, b1, b2, eps)
+            w = p.data
+            g = p.grad.astype(w.dtype, copy=False)
+            m, v, t = self.moments[p.name]
+            t += 1
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            mhat = m / (1.0 - beta1 ** t)
+            vhat = v / (1.0 - beta2 ** t)
+            w2 = w - lr * mhat / (np.sqrt(vhat) + eps)
+            p.data = w2.astype(w.dtype, copy=False)
+            self.moments[p.name] = (m.astype(w.dtype, copy=False),
+                                    v.astype(w.dtype, copy=False), t)
 
 
 class ModulatedSgd:
-    """Stateless modulated-SGD wrapper for the adder parameter group."""
+    """Stateless modulated SGD for the adder parameter group."""
+
+    kind = "modulated_sgd"
 
     def __init__(self, params, eta: float):
         self.params = list(params)
@@ -180,15 +136,19 @@ class ModulatedSgd:
             p.data = modulated_sgd_step(p.data, g, lr, self.eta)
 
 
-def build_optimizers(groups: list[ParamGroup], total_epochs: int, cycles: int = 1):
-    """Instantiate (optimizer, schedule, route) triples for the routed groups."""
+def build_optimizers(groups: dict[str, list], adaptive_lr, modulated_lr, eta: float,
+                     total_epochs: int, cycles: int = 1) -> list:
+    """(optimizer, schedule) pairs for the routed groups, adaptive first.
+
+    The rates are (start, end) pairs; eta must be positive.
+    """
+    if not (eta and eta > 0):
+        raise ConfigError("modulated_sgd requires eta > 0")
     out = []
-    for g in groups:
-        sched = CosineSchedule(g.route.lr_start, g.route.lr_end, total_epochs, cycles)
-        if g.route.optimizer_kind == "adaptive_moment":
-            out.append((AdaptiveMoment(g.params), sched, g.route))
-        elif g.route.optimizer_kind == "modulated_sgd":
-            out.append((ModulatedSgd(g.params, g.route.eta), sched, g.route))
-        else:
-            raise ConfigError(f"unknown optimizer kind {g.route.optimizer_kind!r}")
+    if AdaptiveMoment.kind in groups:
+        out.append((AdaptiveMoment(groups[AdaptiveMoment.kind]),
+                    CosineSchedule(*adaptive_lr, total_epochs, cycles)))
+    if ModulatedSgd.kind in groups:
+        out.append((ModulatedSgd(groups[ModulatedSgd.kind], eta),
+                    CosineSchedule(*modulated_lr, total_epochs, cycles)))
     return out

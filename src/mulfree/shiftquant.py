@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 
 import numpy as np
 
 from .errors import EncodingError, FixedPointRangeError
+from .framing import frame, unframe
 
 MAGIC = b"SAQ1"
 SCALE = 1 << 16
@@ -68,37 +68,30 @@ def unpack_bits(data: bytes, count: int) -> np.ndarray:
 def pack_weights(s: np.ndarray, p: np.ndarray) -> bytes:
     """Serialize a (sign, exponent) tensor into the SAQ1 byte stream.
 
-    Layout: magic "SAQ1", rank u32, dims u32 each, packed bitstream,
-    CRC32 of the bitstream, all little-endian.
+    Layout: magic "SAQ1", rank u32, dims u32 each, packed bitstream, CRC32
+    of everything after the magic (shape included), all little-endian.
     """
     s = np.asarray(s)
-    codes = codes_from_sign_exp(s, p)
-    stream = pack_bits(codes)
-    head = MAGIC + struct.pack("<I", s.ndim) + struct.pack(f"<{s.ndim}I", *s.shape)
-    return head + stream + struct.pack("<I", zlib.crc32(stream))
+    stream = pack_bits(codes_from_sign_exp(s, p))
+    return frame(MAGIC, struct.pack(f"<I{s.ndim}I", s.ndim, *s.shape) + stream)
 
 
 def unpack_weights(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Parse a SAQ1 byte stream back into (sign, exponent) arrays."""
-    if blob[:4] != MAGIC:
-        raise EncodingError("not a SAQ1 stream")
-    if len(blob) < 8:
-        raise EncodingError("truncated SAQ1 header")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    off = 8 + 4 * rank
-    if len(blob) < off:
+    body = unframe(blob, MAGIC, EncodingError, "SAQ1 stream", min_body=4)
+    (rank,) = struct.unpack_from("<I", body)
+    off = 4 + 4 * rank
+    if len(body) < off:
         raise EncodingError(f"SAQ1 rank {rank} does not fit a {len(blob)}-byte stream")
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    dims = struct.unpack_from(f"<{rank}I", body, 4)
     count = math.prod(dims)
-    nbytes = (count * 5 + 7) // 8
-    stream = blob[off : off + nbytes]
-    if len(blob) < off + nbytes + 4:
-        raise EncodingError("truncated SAQ1 stream")
-    (crc,) = struct.unpack_from("<I", blob, off + nbytes)
-    if crc != zlib.crc32(stream):
-        raise EncodingError("SAQ1 bitstream CRC mismatch")
-    s, p = sign_exp_from_codes(unpack_bits(stream, count))
-    return s.reshape(dims), p.reshape(dims)
+    if len(body) != off + (count * 5 + 7) // 8:
+        raise EncodingError(f"SAQ1 shape {dims} does not match its {len(body) - off}-byte bitstream")
+    s, p = sign_exp_from_codes(unpack_bits(body[off:], count))
+    try:
+        return s.reshape(dims), p.reshape(dims)
+    except ValueError as exc:  # more dims than numpy allows
+        raise EncodingError(f"SAQ1 shape {dims} is unusable") from exc
 
 
 def write_packed(path, s: np.ndarray, p: np.ndarray) -> None:

@@ -234,12 +234,25 @@ class TestDiagnostics:
         with pytest.raises(TrainingDivergedError, match="first offending layer"):
             cmd_train(cfg)
 
+    def test_divergence_names_the_stage_that_failed_in_training(self, tmp_path, monkeypatch):
+        from mulfree.errors import TrainingDivergedError
+        from mulfree.layers import BatchNorm
+        forward = BatchNorm.forward
+
+        def nan_in_training(self, x, train=True):
+            y = forward(self, x, train)
+            return np.full_like(y, np.nan) if train and self.name == "embed3.bn" else y
+
+        monkeypatch.setattr(BatchNorm, "forward", nan_in_training)
+        with pytest.raises(TrainingDivergedError, match=r"first offending layer: embed3\b"):
+            cmd_train(tiny_cfg(out=str(tmp_path / "diverge")))
+
     def test_diagnose_names_first_bad_layer(self):
         model = build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8, 8),
                                         encoder_widths=(8, 8), head_widths=(8,),
                                         num_classes=4, knn_k=2, points_in=32),
                             substream(0, 0))
-        model.encoder[0].linear.w.data[0, 0] = np.nan
+        dict(model.stages)["encoder1"].w.data[0, 0] = np.nan
         pts = substream(1, 0).standard_normal((1, 32, 3)).astype(np.float32)
         assert model.diagnose(pts) == "encoder1"
 
@@ -376,6 +389,20 @@ class TestMainEntry:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+
+    def test_bad_face_index_names_the_off_file(self, tmp_path, capsys):
+        from test_data import QUAD_OFF
+        for split in ("train", "test"):
+            d = tmp_path / "meshes" / "slab" / split
+            d.mkdir(parents=True)
+            (d / "good.off").write_text(QUAD_OFF)
+        (tmp_path / "meshes" / "slab" / "train" / "bad.off").write_text(
+            "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 9\n")
+        rc = main(["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--epochs", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad.off" in err and "face index outside [0, 4)" in err
 
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"

@@ -111,8 +111,10 @@ class TestStructure:
     def test_head_is_always_mul(self):
         for v in ("mul", "shift", "add", "sa"):
             m = small(v)
-            assert all(isinstance(lin, MulLinear) for lin, _ in m.head)
-            assert isinstance(m.head_out, MulLinear)
+            stages = dict(m.stages)
+            head = [stages[f"head{i + 1}"] for i in range(len(SMALL["head_widths"]))]
+            assert all(isinstance(lin, MulLinear) for lin in head)
+            assert isinstance(stages["head_out"], MulLinear)
 
     def test_bad_widths(self):
         with pytest.raises(ConfigError):
@@ -126,12 +128,13 @@ class TestForward:
     def test_identical_point_cloud_degeneracy(self):
         m = small("mul")
         cloud = np.tile(np.array([0.3, -0.2, 0.5], np.float32), (1, 32, 1))
-        logits = m.forward(cloud, train=False)
+        outputs = {}
+        logits = m.forward(cloud, train=False, observe=outputs.__setitem__)
         assert np.all(np.isfinite(logits))
-        single = m.last_pooled.copy()
+        single = outputs["global_pool"].copy()
         # every point encodes identically, so pooling changes nothing
-        logits2 = m.forward(cloud[:, :16, :], train=False)
-        np.testing.assert_allclose(m.last_pooled, single, atol=1e-6)
+        logits2 = m.forward(cloud[:, :16, :], train=False, observe=outputs.__setitem__)
+        np.testing.assert_allclose(outputs["global_pool"], single, atol=1e-6)
         assert np.all(np.isfinite(logits2))
 
     def test_permutation_leaves_logits_bit_identical(self):
@@ -163,8 +166,9 @@ class TestForward:
 
     def test_pooled_feature_exposed(self):
         m = small("mul")
-        m.forward(unit_cloud(make_rng(6)), train=False)
-        assert m.last_pooled.shape == (2, SMALL["encoder_widths"][-1])
+        outputs = {}
+        m.forward(unit_cloud(make_rng(6)), train=False, observe=outputs.__setitem__)
+        assert outputs["global_pool"].shape == (2, SMALL["encoder_widths"][-1])
 
     def test_backward_populates_every_parameter(self):
         rng = make_rng(7)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from mulfree.cli import RunConfig
 from mulfree.errors import ConfigError
+from mulfree.layers import Param
 from mulfree.models import ModelConfig, build_model
-from mulfree.optim import (CosineSchedule, MomentState, OptimRoute,
-                           adaptive_moment_step, modulate_gradient,
-                           modulated_sgd_step, route_parameters)
+from mulfree.optim import (AdaptiveMoment, CosineSchedule, build_optimizers,
+                           modulate_gradient, modulated_sgd_step, route_parameters)
 from mulfree.tensor import make_rng, substream
 
 
@@ -77,26 +77,33 @@ class TestModulatedSgdStep:
         np.testing.assert_allclose(w2, -0.008, rtol=1e-12)
 
 
+def adaptive_moment_steps(w, grads, lr):
+    """Weights after one AdaptiveMoment step per gradient, and the optimizer."""
+    p = Param("w", w, "mul")
+    opt = AdaptiveMoment([p])
+    for g in grads:
+        p.grad = g
+        opt.step(lr)
+    return p.data, opt
+
+
 class TestAdaptiveMomentStep:
     def test_first_step_close_to_lr(self):
         w = np.zeros(6)
-        w2, state = adaptive_moment_step(w, np.ones(6), MomentState.zeros_like(w), lr=1e-3)
+        w2, opt = adaptive_moment_steps(w, [np.ones(6)], lr=1e-3)
         np.testing.assert_allclose(w2, -1e-3, rtol=1e-6)
-        assert state.t == 1
+        assert opt.moments["w"][2] == 1
 
     def test_zero_gradient_never_moves(self):
         w = make_rng(3).standard_normal(5)
-        state = MomentState.zeros_like(w)
-        cur = w
-        for _ in range(3):
-            cur, state = adaptive_moment_step(cur, np.zeros(5), state, 1e-2)
+        cur, _ = adaptive_moment_steps(w, [np.zeros(5)] * 3, 1e-2)
         np.testing.assert_array_equal(cur, w)
 
     def test_first_step_scale_invariance(self):
         g = make_rng(4).standard_normal(8)
         w = np.zeros(8)
-        a, _ = adaptive_moment_step(w, g, MomentState.zeros_like(w), 1e-3)
-        b, _ = adaptive_moment_step(w, 10.0 * g, MomentState.zeros_like(w), 1e-3)
+        a, _ = adaptive_moment_steps(w, [g], 1e-3)
+        b, _ = adaptive_moment_steps(w, [10.0 * g], 1e-3)
         np.testing.assert_allclose(a, b, rtol=1e-5)
 
 
@@ -138,22 +145,21 @@ class TestRouting:
         model = build_model(ModelConfig(variant="sa", **{k: v for k, v in SMALL.__dict__.items() if k != "variant"}), substream(0, 0))
         groups = route_parameters(model)
         assert len(groups) == 2
-        kinds = {g.route.optimizer_kind for g in groups}
+        kinds = set(groups)
         assert kinds == {"adaptive_moment", "modulated_sgd"}
-        assert all(g.params for g in groups)
+        assert all(groups.values())
 
     def test_mul_single_group(self):
         model = build_model(ModelConfig(variant="mul", **{k: v for k, v in SMALL.__dict__.items() if k != "variant"}), substream(0, 0))
         groups = route_parameters(model)
         assert len(groups) == 1
-        assert groups[0].route.optimizer_kind == "adaptive_moment"
+        assert list(groups) == ["adaptive_moment"]
 
     def test_add_variant_routes_norms_to_adaptive(self):
         model = build_model(ModelConfig(variant="add", **{k: v for k, v in SMALL.__dict__.items() if k != "variant"}), substream(0, 0))
-        groups = route_parameters(model)
-        by_kind = {g.route.optimizer_kind: g for g in groups}
-        adder_names = {p.name for p in by_kind["modulated_sgd"].params}
-        other_names = {p.name for p in by_kind["adaptive_moment"].params}
+        by_kind = route_parameters(model)
+        adder_names = {p.name for p in by_kind["modulated_sgd"]}
+        other_names = {p.name for p in by_kind["adaptive_moment"]}
         assert all(".bn." not in n for n in adder_names)
         assert any(".bn.gamma" in n for n in other_names)
         assert any(n.startswith("head") for n in other_names)
@@ -161,7 +167,7 @@ class TestRouting:
     def test_partition_is_exact(self):
         model = build_model(SMALL, substream(0, 0))
         groups = route_parameters(model)
-        routed = [p for g in groups for p in g.params]
+        routed = [p for params in groups.values() for p in params]
         assert len(routed) == len(set(id(p) for p in routed))
         assert {id(p) for p in routed} == {id(p) for p in model.parameters()}
 
@@ -173,4 +179,12 @@ class TestRouting:
 
     def test_modulated_route_requires_eta(self):
         with pytest.raises(ConfigError):
-            OptimRoute("adder", "modulated_sgd", 2e-2, 2e-3, eta=None)
+            build_optimizers({}, (1e-3, 1e-6), (2e-2, 2e-3), None, 10)
+
+    def test_optimizers_follow_groups_adaptive_first(self):
+        model = build_model(SMALL, substream(0, 0))
+        groups = route_parameters(model)
+        built = build_optimizers(groups, (1e-3, 1e-6), (2e-2, 2e-3), 0.2, 10)
+        assert [opt.kind for opt, _ in built] == ["adaptive_moment", "modulated_sgd"]
+        assert [opt.params for opt, _ in built] == [groups[opt.kind] for opt, _ in built]
+        assert [sched.lr_at(0) for _, sched in built] == [1e-3, 2e-2]

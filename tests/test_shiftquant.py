@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulfree.errors import EncodingError, FixedPointRangeError
+from mulfree.framing import frame
 from mulfree.layers import quantize_shift
 from mulfree.shiftquant import (codes_from_sign_exp, fixed_shift_affine,
                                 from_fixed, pack_bits, pack_weights,
@@ -82,10 +85,17 @@ class TestWeightStream:
         np.testing.assert_array_equal(s, s2)
         np.testing.assert_array_equal(p, p2)
         blob = bytearray(path.read_bytes())
-        blob[14] ^= 0xFF  # flip a bitstream byte
+        blob[16] ^= 0xFF  # flip a bitstream byte (the header is 16 bytes)
         path.write_bytes(bytes(blob))
         with pytest.raises(EncodingError):
             read_packed(path)
+
+    def test_crc_covers_the_shape(self):
+        s, p, _ = quantize_shift(make_rng(2).uniform(-1, 1, (4, 4)).astype(np.float32))
+        blob = bytearray(pack_weights(s, p))
+        blob[8:16] = struct.pack("<2I", 2, 8)  # same count, another shape
+        with pytest.raises(EncodingError):
+            unpack_weights(bytes(blob))
 
     def test_magic_check(self):
         with pytest.raises(EncodingError):
@@ -94,6 +104,11 @@ class TestWeightStream:
     def test_truncated_header(self):
         with pytest.raises(EncodingError):
             unpack_weights(b"SAQ1\x02\x00")
+
+    def test_rank_beyond_numpy_limit(self):
+        body = struct.pack("<I70I", 70, *[1] * 70) + bytes(1)  # one code, 70 dims of 1
+        with pytest.raises(EncodingError):
+            unpack_weights(frame(b"SAQ1", body))
 
     def test_rank_beyond_stream(self):
         with pytest.raises(EncodingError):
