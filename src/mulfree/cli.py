@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import resource
 import struct
 import sys
 import time
@@ -303,8 +304,12 @@ def cmd_train(cfg: RunConfig) -> Path:
 
     best_acc = -1.0
     eval_knn_cache: dict = {}
-    with open(out_dir / "metrics.jsonl", "w") as metrics:
+    # timings.jsonl holds what differs between identical runs, so that
+    # metrics.jsonl stays comparable with only wall_clock_s removed
+    with open(out_dir / "metrics.jsonl", "w") as metrics, \
+            open(out_dir / "timings.jsonl", "w") as timings:
         for epoch in range(epochs):
+            faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             lrs = {opt.kind: sched.lr_at(epoch) for opt, sched in optimizers}
             perm = shuffle_rng.permutation(len(train_ds))
@@ -332,7 +337,9 @@ def cmd_train(cfg: RunConfig) -> Path:
                 loss_sum += loss * len(sel)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
                 steps += 1
+            t_train = time.perf_counter()
             test_acc, _ = evaluate(model, test_ds, cfg.batch_size, eval_knn_cache)
+            t_eval = time.perf_counter()
             record = {
                 "epoch": epoch,
                 "train_loss": loss_sum / len(train_ds),
@@ -344,9 +351,18 @@ def cmd_train(cfg: RunConfig) -> Path:
             }
             metrics.write(json.dumps(record) + "\n")
             metrics.flush()
+            t_ckpt = time.perf_counter()
             if test_acc > best_acc:
                 best_acc = test_acc
                 save_checkpoint(out_dir / "ckpt_best.bin", model, config_text)
+            timings.write(json.dumps({
+                "epoch": epoch,
+                "train_s": t_train - t0,
+                "eval_s": t_eval - t_train,
+                "checkpoint_s": time.perf_counter() - t_ckpt,
+                "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0,
+            }) + "\n")
+            timings.flush()
     if best_acc < 0:  # zero-epoch run: the initialized state is the best so far
         save_checkpoint(out_dir / "ckpt_best.bin", model, config_text)
     save_checkpoint(out_dir / "ckpt_last.bin", model, config_text)

@@ -171,6 +171,19 @@ class AdderLinear(Layer):
     Backward uses the smoothed rules: the weight path takes the raw
     difference (x - w) while the input path clips it to [-1, 1] so that
     gradients accumulated through deep stacks stay bounded.
+
+    The input gradient runs in transposed blocks. The caller preallocates
+    flat scratch `xt` and `tt` of x.size elements and a rows-long `col`. The
+    worker for rows [a, b) views element range [c_in*a, c_in*b) of `xt` and
+    `tt` as contiguous [c_in, b-a] blocks and uses its own output rows
+    dx[a:b], reshaped to [c_in, b-a], as the accumulator. It copies x[a:b].T
+    into its `xt` block, then per output channel o, in order, subtracts the
+    column w[o] of w.T, clips, multiplies by dy[a:b, o] (copied once into
+    col[a:b]) and subtracts from the accumulator; last it copies the block
+    through `tt` back to dx[a:b] in row-major order. Every element sees the
+    operations of the single-threaded per-channel loop in the same order, so
+    the result is bit-identical to it, while each pass runs along a row of
+    b-a contiguous elements however few channels the layer has.
     """
 
     kind = "adder"
@@ -200,17 +213,30 @@ class AdderLinear(Layer):
         if not need_input_grad:
             return None
         # dX[r,i] = -sum_o dy[r,o] * clip(x[r,i] - w[o,i]); one pass per output
-        # channel over each row slice, so every element sees the same operations
-        dx = np.zeros_like(xf)
-        tmp = np.empty_like(xf)
+        # channel over each transposed row block, so every element sees the
+        # same operations in the same order
+        c_in = self.c_in
+        dx = np.empty(xf.shape, dt)
+        xt = np.empty(xf.size, dt)
+        tt = np.empty(xf.size, dt)
+        col = np.empty(xf.shape[0], dt)
 
         def rows(a, b):
-            xs, ts, dxs, dys = xf[a:b], tmp[a:b], dx[a:b], dyf[a:b]
+            n = b - a
+            xs = xt[c_in * a : c_in * b].reshape(c_in, n)
+            ts = tt[c_in * a : c_in * b].reshape(c_in, n)
+            acc = dx[a:b].reshape(c_in, n)
+            cs = col[a:b]
+            xs[...] = xf[a:b].T
+            acc.fill(0)
             for o in range(self.c_out):
-                np.subtract(xs, w[o], out=ts)
+                cs[...] = dyf[a:b, o]
+                np.subtract(xs, w[o, :, None], out=ts)
                 np.clip(ts, -1.0, 1.0, out=ts)
-                ts *= dys[:, o : o + 1]
-                dxs -= ts
+                ts *= cs
+                acc -= ts
+            ts[...] = acc
+            dx[a:b] = ts.T
 
         tensor.over_rows(rows, xf.shape[0])
         return dx.reshape(x.shape)
@@ -221,7 +247,9 @@ class BatchNorm(Layer):
 
     Training mode normalizes with batch statistics (eps 1e-5) and keeps
     running estimates with momentum 0.1; eval mode applies the running
-    estimates elementwise.
+    estimates elementwise. Training arithmetic runs in the dtype of the
+    input (forward) and of the gradient (backward); gamma and beta are cast
+    to it, a no-op or an exact widening for the float32 parameters.
     """
 
     kind = "norm"
@@ -249,15 +277,18 @@ class BatchNorm(Layer):
             if m < 2:
                 raise DegenerateBatchError(f"{self.name}: variance undefined over {m} row(s)")
             mean = xf.mean(axis=0)
-            var = xf.var(axis=0)
+            xc = xf - mean
+            sq = np.multiply(xc, xc)
+            var = sq.sum(axis=0) / m  # the sum and divide xf.var(axis=0) runs
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (xf - mean) * inv
+            xhat = np.multiply(xc, inv, out=xc)
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean).astype(np.float32)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var * m / (m - 1)).astype(np.float32)
             self._ctx = (xhat, inv)
-            y = self.gamma.data * xhat + self.beta.data
+            y = np.multiply(self.gamma.data.astype(xhat.dtype, copy=False), xhat, out=sq)
+            y += self.beta.data.astype(xhat.dtype, copy=False)
         else:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             y = self.gamma.data * ((xf - self.running_mean) * inv) + self.beta.data
@@ -266,13 +297,19 @@ class BatchNorm(Layer):
     def backward(self, dy, need_input_grad: bool = True):
         xhat, inv = self._take_ctx()
         dyf = dy.reshape(-1, self.channels)
-        self.gamma.grad = (dyf * xhat).sum(axis=0)
+        t = np.multiply(dyf, xhat)
+        self.gamma.grad = t.sum(axis=0)
         self.beta.grad = dyf.sum(axis=0)
         if not need_input_grad:
             return None
-        dxhat = dyf * self.gamma.data
-        dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv
-        return dx.reshape(dy.shape).astype(dy.dtype, copy=False)
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, in that
+        # order, in two scratch arrays: dxhat and t
+        dxhat = np.multiply(dyf, self.gamma.data.astype(dyf.dtype, copy=False))
+        proj = np.multiply(dxhat, xhat, out=t).mean(axis=0)
+        dxhat -= dxhat.mean(axis=0)
+        dxhat -= np.multiply(xhat, proj, out=t)
+        dxhat *= inv
+        return dxhat.reshape(dy.shape)
 
 
 class ReLU(Layer):

@@ -11,10 +11,20 @@ gradient of `layers.AdderLinear`) split their input rows into one
 contiguous slice per core in the process's affinity mask and run the
 slices on a shared thread pool. Each row is computed with exactly the
 operations, in exactly the order, of a single-threaded pass, so results
-are bit-identical for any core count. Workers neither allocate large
-arrays (the caller preallocates every output and scratch array and a
-worker writes only its own rows of them) nor call public `mulfree` names,
-so tracing that wraps those names sees one thread.
+are bit-identical for any core count. The caller preallocates every output
+and every scratch array the size of the input, and a worker writes only its
+own rows of them; a worker may allocate only per-block scratch under
+BLOCK_BYTES, which malloc serves from its heap below the default mmap
+threshold, so it neither maps nor faults in fresh pages. Workers call no
+public `mulfree` names, so tracing that wraps those names sees one thread.
+
+Both kernels run along rows: each pass of the input gradient walks one
+worker's rows as a contiguous run per channel (a transposed block), never
+a short channel vector, and the forward computes cache-sized row blocks
+instead of one full float64 distance matrix. At desk widths (8 to 64
+channels) that layout decides the speed, not the worker count: on a 2-vCPU
+host the 8192x35->64 input gradient took 31 ms on one worker and 41 ms on
+two, while 2048x515->1024 ran x1.8 faster on two.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ def substream(seed: int, key: int) -> np.random.Generator:
 
 
 _WORKERS = len(os.sched_getaffinity(0))
+BLOCK_BYTES = 128 * 1024  # glibc's default mmap threshold
 
 
 def _new_pool() -> None:
@@ -112,14 +123,22 @@ def pairwise_l1_neg(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise DimensionError(f"pairwise_l1_neg: input {x.shape} incompatible with weight {w.shape}")
-    xf = _flat_rows(x).astype(np.float64, copy=False)
+    xf = _flat_rows(x)
     wf = w.astype(np.float64, copy=False)
-    d = np.empty((xf.shape[0], wf.shape[0]))
-    out = np.empty(d.shape, x.dtype)
+    out = np.empty((xf.shape[0], wf.shape[0]), x.dtype)
+    # float64 input copy and distances per block stay under BLOCK_BYTES, so
+    # the negation and cast read the distances from cache
+    block = max(1, BLOCK_BYTES // max(8, 8 * (xf.shape[1] + wf.shape[0])))
 
     def rows(a, b):
-        cdist(xf[a:b], wf, "cityblock", out=d[a:b])
-        np.negative(d[a:b], out=out[a:b], casting="unsafe")  # rounds as astype(x.dtype)
+        n = min(block, b - a)
+        xs = np.empty((n, xf.shape[1]))
+        ds = np.empty((n, wf.shape[0]))
+        for r in range(a, b, n):
+            k = min(n, b - r)
+            xs[:k] = xf[r : r + k]
+            cdist(xs[:k], wf, "cityblock", out=ds[:k])
+            np.negative(ds[:k], out=out[r : r + k], casting="unsafe")  # rounds as astype(x.dtype)
 
     over_rows(rows, xf.shape[0])
     return out.reshape(x.shape[:-1] + (w.shape[0],))

@@ -49,6 +49,7 @@ class TestTrain:
         assert (out / "ckpt_best.bin").exists()  # initialized state doubles as best
         assert (out / "config.ini").exists()
         assert (out / "metrics.jsonl").read_text() == ""
+        assert (out / "timings.jsonl").read_text() == ""
         model, cfg = load_checkpoint(out / "ckpt_last.bin")
         assert cfg.variant == "sa"
 
@@ -62,6 +63,16 @@ class TestTrain:
                         "wall_clock_s"):
                 assert key in rec
             assert set(rec["lr"]) == {"adaptive_moment", "modulated_sgd"}
+
+    def test_timings_one_record_per_epoch(self, sa_run):
+        lines = (sa_run / "timings.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            assert set(rec) == {"epoch", "train_s", "eval_s", "checkpoint_s", "minor_faults"}
+            assert rec["epoch"] == i
+            assert rec["train_s"] > 0 and rec["eval_s"] > 0 and rec["checkpoint_s"] >= 0
+            assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
 
     def test_same_seed_identical_streams_and_checkpoints(self, tmp_path):
         a = cmd_train(tiny_cfg(out=str(tmp_path / "a")))

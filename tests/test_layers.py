@@ -250,8 +250,10 @@ class TestAdderLinear:
         np.testing.assert_allclose(layer.w.grad, dw_o, rtol=0, atol=1e-6)
         np.testing.assert_allclose(dx.reshape(-1, 6), dx_o, rtol=0, atol=1e-6)
 
-    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them
-    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512)])
+    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them;
+    # 4096x8->8 and 1024x35->64: the narrow desk-width layers
+    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512),
+                                              (4096, 8, 8), (1024, 35, 64)])
     def test_row_split_input_grad_bit_identical_to_loop(self, row_workers, rows, ci, co):
         rng = make_rng(rows + 1)
         layer = AdderLinear(ci, co, rng)
@@ -261,6 +263,17 @@ class TestAdderLinear:
         dx = layer.backward(dy)
         assert dx.dtype == np.float32
         assert np.array_equal(dx, adder_input_grad_loop(x, layer.w.data, dy))
+
+    def test_row_split_input_grad_float64_bit_identical_to_loop(self, row_workers):
+        rng = make_rng(5)
+        layer = AdderLinear(35, 64, rng)
+        x = rng.uniform(-3, 3, (2, 3, 101, 35))  # non-2-D leading axes, odd row count
+        dy = rng.standard_normal((2, 3, 101, 64))
+        layer.forward(x)
+        dx = layer.backward(dy)
+        assert dx.dtype == np.float64 and dx.shape == x.shape
+        w = layer.w.data.astype(np.float64)
+        assert np.array_equal(dx, adder_input_grad_loop(x, w, dy))
 
     def test_opposite_sign_structure_inside_clip_region(self):
         rng = make_rng(14)
@@ -337,6 +350,52 @@ class TestBatchNorm:
         y = bn.forward(x, train=False)
         expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(y, expect, rtol=1e-5, atol=1e-6)
+
+
+def batchnorm_reference(bn, x, dy):
+    """A train-mode forward and backward of `bn` written as plain
+    expressions, without scratch reuse; BatchNorm must match it bit for bit.
+    Returns (y, running_mean, running_var, xhat, inv, dx, dgamma, dbeta)."""
+    xf = x.reshape(-1, bn.channels)
+    m = xf.shape[0]
+    mean = xf.mean(axis=0)
+    var = xf.var(axis=0)
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (xf - mean) * inv
+    rm = ((1 - bn.momentum) * bn.running_mean + bn.momentum * mean).astype(np.float32)
+    rv = ((1 - bn.momentum) * bn.running_var
+          + bn.momentum * var * m / (m - 1)).astype(np.float32)
+    y = (bn.gamma.data * xhat + bn.beta.data).reshape(x.shape).astype(x.dtype, copy=False)
+    dyf = dy.reshape(-1, bn.channels)
+    dgamma = (dyf * xhat).sum(axis=0)
+    dbeta = dyf.sum(axis=0)
+    dxhat = dyf * bn.gamma.data
+    dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv
+    dx = dx.reshape(dy.shape).astype(dy.dtype, copy=False)
+    return y, rm, rv, xhat, inv, dx, dgamma, dbeta
+
+
+class TestBatchNormReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_step_bit_identical_to_reference(self, dtype):
+        rng = make_rng(23)
+        bn = BatchNorm(16)
+        bn.gamma.data = rng.uniform(0.5, 1.5, 16).astype(np.float32)
+        bn.beta.data = rng.standard_normal(16).astype(np.float32)
+        bn.running_mean = rng.standard_normal(16).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, 16).astype(np.float32)
+        x = (rng.standard_normal((3, 37, 16)) * 2.5 + 0.7).astype(dtype)  # m = 111, odd
+        dy = rng.standard_normal((3, 37, 16)).astype(dtype)
+        want = batchnorm_reference(bn, x, dy)
+        y = bn.forward(x, train=True)
+        xhat, inv = bn._ctx
+        got_fwd = (y, bn.running_mean, bn.running_var, xhat, inv)
+        dx = bn.backward(dy)
+        got = got_fwd + (dx, bn.gamma.grad, bn.beta.grad)
+        for name, g, w in zip(("y", "running_mean", "running_var", "xhat", "inv", "dx",
+                               "gamma.grad", "beta.grad"), got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert np.array_equal(g, w), name
 
 
 class BatchNormProbe:

@@ -120,8 +120,10 @@ class TestPairwiseL1Neg:
         with pytest.raises(DimensionError):
             pairwise_l1_neg(np.zeros((1, 2, 3)), np.zeros((2, 4)))
 
-    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them
-    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512)])
+    # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them;
+    # 64x3->16384: each cache-sized block holds a single row
+    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512),
+                                              (64, 3, 16384)])
     def test_row_split_bit_identical_to_one_cdist_call(self, row_workers, rows, ci, co):
         rng = make_rng(rows)
         x = rng.uniform(-2, 2, (rows, ci)).astype(np.float32)
