@@ -4,27 +4,36 @@
 Trains the requested variants at the full-scale preset (1024 points,
 200 epochs, batch 32) and sweeps densities 1024/512/256/128. Expect hours
 per variant on CPU; the reported targets are documented in the README and
-are not asserted anywhere.
+are not asserted anywhere. Stops at the first command that fails and exits
+with its code.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from mulfree.cli import main as cli
 
 
-def run(args):
+def commands(args):
     root = Path(args.out)
     for variant in args.variants.split(","):
         out = root / variant
         print(f"=== {variant} ===")
-        cli(["train", "--variant", variant, "--data", f"modelnet40:{args.data}",
-             "--epochs", str(args.epochs), "--seed", str(args.seed),
-             "--out", str(out)])
+        yield ["train", "--variant", variant, "--data", f"modelnet40:{args.data}",
+               "--epochs", str(args.epochs), "--seed", str(args.seed), "--out", str(out)]
         ckpt = str(out / "ckpt_best.bin")
-        cli(["eval", "--ckpt", ckpt, "--out", str(out)])
-        cli(["sweep-density", "--ckpt", ckpt, "--out", str(out)])
-        cli(["grad-report", "--ckpt", ckpt, "--batches", "8", "--out", str(out)])
+        yield ["eval", "--ckpt", ckpt, "--out", str(out)]
+        yield ["sweep-density", "--ckpt", ckpt, "--out", str(out)]
+        yield ["grad-report", "--ckpt", ckpt, "--batches", "8", "--out", str(out)]
+
+
+def run(args) -> int:
+    for argv in commands(args):
+        rc = cli(argv)
+        if rc:
+            return rc
+    return 0
 
 
 if __name__ == "__main__":
@@ -34,4 +43,4 @@ if __name__ == "__main__":
     p.add_argument("--out", default="runs/modelnet40")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
-    run(p.parse_args())
+    sys.exit(run(p.parse_args()))

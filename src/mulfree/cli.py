@@ -18,8 +18,9 @@ import resource
 import struct
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,7 +46,12 @@ EPOCH_DEFAULTS = {"synthetic": 60, "modelnet40": 200}
 
 @dataclass
 class RunConfig:
-    """One training run; defaults reproduce the desk-scale reference run."""
+    """One training run; defaults reproduce the desk-scale reference run.
+
+    Every setting is declared here once: the INI file is parsed by each
+    field's type hint, `train` flags override fields by name, and the
+    checks below hold for files and flags alike.
+    """
 
     variant: str = "sa"
     data: str = "synthetic"
@@ -55,9 +61,9 @@ class RunConfig:
     out: str | None = None
     augment: bool = True
     # model overrides; None picks the per-source preset
-    embed_widths: tuple | None = None
-    encoder_widths: tuple | None = None
-    head_widths: tuple | None = None
+    embed_widths: tuple[int, ...] | None = None
+    encoder_widths: tuple[int, ...] | None = None
+    head_widths: tuple[int, ...] | None = None
     num_classes: int | None = None
     knn_k: int | None = None
     points: int | None = None
@@ -71,7 +77,14 @@ class RunConfig:
     # synthetic dataset size
     synth_per_class: int = 160
     synth_points: int = 256
-    class_names: tuple | None = None
+    class_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        for key, least in (("batch_size", 1), ("seed", 0), ("epochs", 0),
+                           ("synth_per_class", 1)):
+            val = getattr(self, key)
+            if val is not None and val < least:
+                raise ConfigError(f"{key} must be >= {least}, got {val}")
 
     def source(self) -> str:
         return "modelnet40" if self.data.startswith("modelnet40") else self.data
@@ -88,17 +101,12 @@ class RunConfig:
             base = MODELNET_MODEL
         else:
             raise ConfigError(f"unknown data source {self.data!r}")
-        over = {}
-        for src, dst in (("embed_widths", "embed_widths"), ("encoder_widths", "encoder_widths"),
-                         ("head_widths", "head_widths"), ("num_classes", "num_classes"),
-                         ("knn_k", "knn_k"), ("points", "points_in")):
-            val = getattr(self, src)
-            if val is not None:
-                over[dst] = val
+        over = {"points_in" if key == "points" else key: getattr(self, key)
+                for key in _SECTIONS["model"] if getattr(self, key) is not None}
         return replace(base, variant=self.variant, **over)
 
 
-_INT_TUPLES = {"embed_widths", "encoder_widths", "head_widths"}
+# the INI file layout; `out` stays out, so a run's files do not depend on where it ran
 _SECTIONS = {
     "run": ("variant", "data", "epochs", "batch_size", "seed", "augment"),
     "model": ("embed_widths", "encoder_widths", "head_widths", "num_classes", "knn_k", "points"),
@@ -106,6 +114,7 @@ _SECTIONS = {
               "lr_modulated_end", "eta", "cycles"),
     "data": ("synth_per_class", "synth_points", "class_names"),
 }
+_HINTS = get_type_hints(RunConfig)
 
 
 def config_to_ini(cfg: RunConfig) -> str:
@@ -132,34 +141,28 @@ def config_from_ini(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed INI config: {exc}") from exc
-    field_types = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
     for section, keys in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
         for key in keys:
-            if key not in parser[section] or key not in field_types:
+            if not parser.has_option(section, key):
                 continue
             try:
-                kwargs[key] = _ini_value(key, parser[section][key])
+                kwargs[key] = _ini_value(_HINTS[key], parser.get(section, key))
             except (configparser.Error, ValueError) as exc:
                 raise ConfigError(f"config [{section}] {key}: {exc}") from exc
     return RunConfig(**kwargs)
 
 
-def _ini_value(key: str, raw: str):
-    if key in _INT_TUPLES:
-        return tuple(int(v) for v in raw.split(","))
-    if key == "class_names":
-        return tuple(raw.split(","))
-    if key == "augment":
+def _ini_value(hint, raw: str):
+    """Parse raw by a RunConfig type hint: `T | None` as T, tuples comma-separated."""
+    if type(None) in get_args(hint):
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return tuple(item(v) for v in raw.split(","))
+    if hint is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in ("variant", "data"):
-        return raw
-    if key in ("epochs", "batch_size", "seed", "num_classes", "knn_k",
-               "points", "cycles", "synth_per_class", "synth_points"):
-        return int(raw)
-    return float(raw)
+    return hint(raw)
 
 
 # --- datasets ---
@@ -371,24 +374,41 @@ def cmd_train(cfg: RunConfig) -> Path:
 
 # --- reports ---
 
-def cmd_eval(ckpt, data: str | None = None, density: int | None = None,
-             seed: int | None = None, out=None, batch_size: int | None = None):
+def _open_checkpoint(ckpt, data: str | None = None, seed: int | None = None,
+                     batch_size: int | None = None):
+    """(model, cfg, seed) for a report. `data` and `batch_size` replace the
+    checkpoint's settings, so RunConfig checks them. `seed` (default: the
+    checkpoint's) seeds only the report's own draws, never the dataset."""
     model, cfg = load_checkpoint(ckpt)
-    if data is not None and data != cfg.data:
-        cfg = replace(cfg, data=data)
-    _, test_ds, _ = load_datasets(cfg)
-    full = test_ds.points.shape[1]
+    cfg = replace(cfg, **{k: v for k, v in (("data", data), ("batch_size", batch_size))
+                          if v is not None})
     seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return model, cfg, seed
+
+
+def _density_report(ckpt, model, cfg: RunConfig, test_ds: PointDataset,
+                    density: int | None, seed: int) -> dict:
+    """Accuracy on the test split, subsampled to `density` points per cloud."""
+    full = test_ds.points.shape[1]
     if density is not None and density != full:
-        if density > full:
-            raise ConfigError(f"density {density} exceeds cached cloud size {full}")
+        if not 1 <= density <= full:
+            raise ConfigError(f"density {density} outside [1, {full}], the cached cloud size")
         rng = substream(seed, 200 + density)
         test_ds = PointDataset(
             np.stack([subsample_density(p, density, rng) for p in test_ds.points]),
             test_ds.labels, test_ds.class_names)
-    acc, per_class = evaluate(model, test_ds, batch_size or cfg.batch_size)
-    report = {"checkpoint": str(ckpt), "density": density or full,
-              "accuracy": acc, "per_class": per_class}
+    acc, per_class = evaluate(model, test_ds, cfg.batch_size)
+    return {"checkpoint": str(ckpt), "density": density or full,
+            "accuracy": acc, "per_class": per_class}
+
+
+def cmd_eval(ckpt, data: str | None = None, density: int | None = None,
+             seed: int | None = None, out=None, batch_size: int | None = None):
+    model, cfg, seed = _open_checkpoint(ckpt, data, seed, batch_size)
+    _, test_ds, _ = load_datasets(cfg)
+    report = _density_report(ckpt, model, cfg, test_ds, density, seed)
     if out:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -401,10 +421,7 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
                     seed: int | None = None, out=None):
     """Per-layer RMS of raw weight gradients; adder layers also report the
     post-modulation RMS (identically eta by construction)."""
-    model, cfg = load_checkpoint(ckpt)
-    if data is not None and data != cfg.data:
-        cfg = replace(cfg, data=data)
-    seed = cfg.seed if seed is None else seed
+    model, cfg, seed = _open_checkpoint(ckpt, data, seed)
     rows = []
     if batches > 0:
         train_ds, _, _ = load_datasets(cfg)
@@ -448,7 +465,7 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
 
 
 def cmd_export(ckpt, what: str, out, data: str | None = None):
-    model, cfg = load_checkpoint(ckpt)
+    model, cfg, _ = _open_checkpoint(ckpt, data)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -470,8 +487,6 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
                     writer.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(counts[i])])
             written += [vpath, hpath]
     elif what == "features":
-        if data is not None and data != cfg.data:
-            cfg = replace(cfg, data=data)
         _, test_ds, _ = load_datasets(cfg)
         path = out / "features.csv"
         with open(path, "w", newline="") as fh:
@@ -505,12 +520,11 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
 
 def cmd_sweep_density(ckpt, data: str | None = None, densities=None,
                       seed: int | None = None, out=None):
-    model, cfg = load_checkpoint(ckpt)
+    model, cfg, seed = _open_checkpoint(ckpt, data, seed)
+    _, test_ds, _ = load_datasets(cfg)
     if densities is None:
         densities = (256, 128, 64, 32) if cfg.source() == "synthetic" else (1024, 512, 256, 128)
-    reports = []
-    for d in densities:
-        reports.append(cmd_eval(ckpt, data=data, density=int(d), seed=seed, out=None))
+    reports = [_density_report(ckpt, model, cfg, test_ds, d, seed) for d in densities]
     print(f"{'density':>8} {'accuracy':>9}")
     for r in reports:
         print(f"{r['density']:>8} {r['accuracy']:>9.4f}")
@@ -537,17 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="multiplication-free point-cloud classifiers")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    t = sub.add_parser("train", help="train a variant and write a run directory")
-    t.add_argument("--variant", choices=VARIANTS, default=None, help="default sa")
-    t.add_argument("--data", default=None, help="synthetic or modelnet40:<dir> (default synthetic)")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--out", default=None)
-    t.add_argument("--no-augment", action="store_true")
-    t.add_argument("--config", default=None, help="INI file overriding the defaults")
-    t.add_argument("--synth-per-class", type=int, default=None)
-    t.add_argument("--synth-points", type=int, default=None)
+    # a flag left out is absent from the namespace; each present one is a RunConfig field
+    t = sub.add_parser("train", help="train a variant and write a run directory",
+                       argument_default=argparse.SUPPRESS)
+    t.add_argument("--variant", choices=VARIANTS, help="default sa")
+    t.add_argument("--data", help="synthetic or modelnet40:<dir> (default synthetic)")
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--seed", type=int)
+    t.add_argument("--out")
+    t.add_argument("--no-augment", dest="augment", action="store_false")
+    t.add_argument("--config", help="INI file overriding the defaults")
+    t.add_argument("--synth-per-class", type=int)
+    t.add_argument("--synth-points", type=int)
 
     e = sub.add_parser("eval", help="accuracy report for a checkpoint")
     e.add_argument("--ckpt", required=True)
@@ -577,17 +593,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "train":
-            cfg = config_from_ini(Path(args.config).read_text()) if args.config else RunConfig()
-            updates = {}
-            for key in ("variant", "data", "epochs", "batch_size", "seed", "out",
-                        "synth_per_class", "synth_points"):
-                val = getattr(args, key)
-                if val is not None:
-                    updates[key] = val
-            if args.no_augment:
-                updates["augment"] = False
-            cfg = replace(cfg, **updates)
-            out_dir = cmd_train(cfg)
+            overrides = {k: v for k, v in vars(args).items() if k != "cmd"}
+            ini = overrides.pop("config", None)
+            cfg = config_from_ini(Path(ini).read_text()) if ini else RunConfig()
+            out_dir = cmd_train(replace(cfg, **overrides))
             print(f"run directory: {out_dir}")
         elif args.cmd == "eval":
             report = cmd_eval(args.ckpt, data=args.data, density=args.density,
@@ -602,7 +611,10 @@ def main(argv=None) -> int:
         elif args.cmd == "sweep-density":
             densities = None
             if args.densities:
-                densities = tuple(int(v) for v in args.densities.split(","))
+                try:
+                    densities = tuple(int(v) for v in args.densities.split(","))
+                except ValueError as exc:
+                    raise ConfigError(f"--densities {args.densities!r}: {exc}") from exc
             cmd_sweep_density(args.ckpt, data=args.data, densities=densities,
                               seed=args.seed, out=args.out)
     except (MulfreeError, OSError) as exc:

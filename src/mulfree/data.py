@@ -148,20 +148,12 @@ def normalize_cloud(points: np.ndarray) -> np.ndarray:
     return (centered / radius).astype(points.dtype)
 
 
-def subsample_density(points: np.ndarray, m: int, rng: np.random.Generator,
-                      nested: bool = False) -> np.ndarray:
-    """Uniform subset of m points without replacement.
-
-    With nested=True the subsets for decreasing m are prefixes of one
-    seeded permutation, so the 128-point set is contained in the 256-point
-    set drawn from the same generator state.
-    """
+def subsample_density(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform subset of m points without replacement."""
     points = np.asarray(points)
     n = points.shape[0]
     if m > n:
         raise DimensionError(f"cannot subsample {m} from {n} points")
-    if nested:
-        return points[rng.permutation(n)[:m]]
     return points[rng.choice(n, size=m, replace=False)]
 
 
@@ -240,17 +232,19 @@ def synth_shapes(num_per_class: int, n_points: int, seed: int,
 
 # --- binary cache ---
 
+def _cache_record(n: int) -> np.dtype:
+    """One packed SAPC record: a uint16 label, then n float32 (x, y, z) points."""
+    return np.dtype([("label", "<u2"), ("points", "<f4", (n, 3))])
+
+
 def cache_write(path, points: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
     """Write one split: SAPC header, label+points records, trailing CRC32."""
-    points = np.ascontiguousarray(points, dtype=np.float32)
-    labels = np.asarray(labels)
     count = len(labels)
-    n = points.shape[1] if count else 0
-    body = bytearray()
-    body += struct.pack("<HIHH", CACHE_VERSION, count, n_classes, n)
-    for i in range(count):
-        body += struct.pack("<H", int(labels[i]))
-        body += points[i].tobytes()
+    n = np.shape(points)[1] if count else 0
+    records = np.empty(count, _cache_record(n))
+    records["label"] = labels
+    records["points"] = np.reshape(points, (count, n, 3))  # an empty split has n = 0
+    body = struct.pack("<HIHH", CACHE_VERSION, count, n_classes, n) + records.tobytes()
     Path(path).write_bytes(frame(CACHE_MAGIC, body))
 
 
@@ -261,17 +255,11 @@ def cache_read(path) -> tuple[np.ndarray, np.ndarray, int]:
     version, count, n_classes, n = struct.unpack_from("<HIHH", body, 0)
     if version != CACHE_VERSION:
         raise CacheError(f"{path}: unsupported cache version {version}")
-    rec = 2 + n * 12
-    if len(body) != 10 + count * rec:
+    record = _cache_record(n)
+    if len(body) != 10 + count * record.itemsize:
         raise CacheError(f"{path}: expected {count} records, size mismatch")
-    labels = np.empty(count, np.int64)
-    points = np.empty((count, n, 3), np.float32)
-    off = 10
-    for i in range(count):
-        (labels[i],) = struct.unpack_from("<H", body, off)
-        points[i] = np.frombuffer(body, np.float32, n * 3, off + 2).reshape(n, 3)
-        off += rec
-    return points, labels, n_classes
+    records = np.frombuffer(body, record, count, 10)
+    return records["points"].copy(), records["label"].astype(np.int64), n_classes
 
 
 def save_dataset(out_dir, train: PointDataset, test: PointDataset,
@@ -294,9 +282,9 @@ def load_dataset(cache_dir) -> tuple[PointDataset, PointDataset, DatasetManifest
 
 # --- ModelNet40-style directory ingestion ---
 
-def ingest_modelnet40(root, points_per_cloud: int = 1024, seed: int = 7,
-                      cache_dir=None) -> tuple[PointDataset, PointDataset, DatasetManifest]:
-    """Sample `<root>/<class>/{train,test}/*.off` into the binary cache.
+def ingest_modelnet40(root, points_per_cloud: int = 1024,
+                      seed: int = 7) -> tuple[PointDataset, PointDataset, DatasetManifest]:
+    """Sample `<root>/<class>/{train,test}/*.off` into the binary cache `<root>/sapc_cache`.
 
     Class labels follow the lexicographic order of the class directories.
     The cache is reused when its manifest matches (same points and seed).
@@ -304,7 +292,7 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024, seed: int = 7,
     root = Path(root)
     if not root.is_dir():
         raise CacheError(f"dataset directory {root} not found")
-    cache = Path(cache_dir) if cache_dir else root / "sapc_cache"
+    cache = root / "sapc_cache"
     man_path = cache / "manifest.json"
     if man_path.exists():
         manifest = DatasetManifest.from_json(man_path.read_text())

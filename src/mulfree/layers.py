@@ -57,14 +57,13 @@ def uniform_linear_init(rng: np.random.Generator, c_out: int, c_in: int) -> np.n
     return rng.uniform(-bound, bound, size=(c_out, c_in)).astype(np.float32)
 
 
-def truncated_normal_init(rng: np.random.Generator, c_out: int, c_in: int,
-                          std: float = 1.0, bound: float = 2.0) -> np.ndarray:
-    """N(0, std^2) truncated to [-bound, bound], matching batch-norm output scale."""
-    out = rng.standard_normal((c_out, c_in)) * std
-    bad = np.abs(out) > bound
+def truncated_normal_init(rng: np.random.Generator, c_out: int, c_in: int) -> np.ndarray:
+    """N(0, 1) truncated to [-2, 2], matching batch-norm output scale."""
+    out = rng.standard_normal((c_out, c_in))
+    bad = np.abs(out) > 2.0
     while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > bound
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 2.0
     return out.astype(np.float32)
 
 

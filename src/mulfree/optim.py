@@ -89,19 +89,17 @@ def route_parameters(model) -> dict[str, list]:
 
 
 class AdaptiveMoment:
-    """Bias-corrected moment update (beta1 0.9, beta2 0.999, eps 1e-8) with
-    (m, v, step count) kept per parameter."""
+    """Bias-corrected moment update with (m, v, step count) kept per parameter."""
 
     kind = "adaptive_moment"
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.hyper = (beta1, beta2, eps)
         self.moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data), 0)
                         for p in self.params}
 
     def step(self, lr: float):
-        beta1, beta2, eps = self.hyper
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         for p in self.params:
             if p.grad is None:
                 continue

@@ -1,11 +1,16 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mulfree import tensor
+from mulfree import cli, tensor
 from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
                          cmd_sweep_density, cmd_train, config_from_ini,
                          config_to_ini, evaluate, load_checkpoint, load_datasets,
@@ -31,9 +36,17 @@ def sa_run(tmp_path_factory):
 
 class TestConfigIni:
     def test_roundtrip(self):
-        cfg = tiny_cfg(embed_widths=(4, 4, 8, 8), augment=False)
-        back = config_from_ini(config_to_ini(cfg))
-        assert back == cfg
+        every = RunConfig(variant="add", data="modelnet40:/meshes", epochs=5, batch_size=8,
+                          seed=11, augment=False, embed_widths=(4, 4, 8, 8),
+                          encoder_widths=(8, 16), head_widths=(8, 4), num_classes=3, knn_k=5,
+                          points=96, lr_adaptive_start=2e-3, lr_adaptive_end=2e-6,
+                          lr_modulated_start=3e-2, lr_modulated_end=3e-3, eta=0.3, cycles=2,
+                          synth_per_class=20, synth_points=128, class_names=("a", "b", "c"))
+        default = RunConfig()
+        assert [f.name for f in fields(RunConfig)
+                if getattr(every, f.name) == getattr(default, f.name)] == ["out"]
+        for cfg in (tiny_cfg(embed_widths=(4, 4, 8, 8), augment=False), every):
+            assert config_from_ini(config_to_ini(cfg)) == cfg
 
     def test_defaults_match_training_parameters(self):
         cfg = RunConfig()
@@ -141,6 +154,15 @@ class TestEval:
 
 
 class TestSweep:
+    def test_loads_checkpoint_once_with_per_density_eval_reports(self, sa_run, monkeypatch):
+        ckpt, densities = sa_run / "ckpt_last.bin", (64, 48, 32)
+        loads = []
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        reports = cmd_sweep_density(ckpt, densities=densities, seed=5)
+        assert loads == [ckpt]
+        assert reports == [cmd_eval(ckpt, density=d, seed=5) for d in densities]
+
     def test_records_and_order(self, sa_run, tmp_path):
         reports = cmd_sweep_density(sa_run / "ckpt_last.bin", densities=(64, 32),
                                     out=tmp_path)
@@ -380,7 +402,9 @@ class TestMainEntry:
         assert cfg.eta == 0.3          # file wins over defaults
         assert cfg.synth_points == 64
 
-    @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n"])
+    @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n",
+                                      "[run]\nbatch_size = 0\n", "[run]\nseed = -3\n",
+                                      "[run]\nepochs = -1\n"])
     def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
         ini.write_text(text)
@@ -415,6 +439,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "bad.off" in err and "face index outside [0, 4)" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (["train", "--synth-per-class", "0"], "synth_per_class must be >= 1, got 0"),
+        (["eval", "--batch-size", "-1"], "batch_size must be >= 1, got -1"),
+        (["eval", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["eval", "--density", "32", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["grad-report", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sweep-density", "--densities", "abc"], "--densities 'abc'"),
+        (["sweep-density", "--densities", "64,,32"], "--densities '64,,32'"),
+        (["sweep-density", "--densities", "-5"], "density -5 outside [1, 64]"),
+        (["sweep-density", "--densities", "0"], "density 0 outside [1, 64]"),
+    ])
+    def test_bad_value_exits_with_message(self, sa_run, capsys, argv, message):
+        if argv[0] != "train":
+            argv = [*argv, "--ckpt", str(sa_run / "ckpt_last.bin")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"
         ini.write_text(config_to_ini(tiny_cfg(variant="add")))
@@ -423,3 +468,19 @@ class TestMainEntry:
         assert rc == 0
         cfg = config_from_ini((out / "config.ini").read_text())
         assert cfg.variant == "add"
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
+    def test_stops_at_the_first_failed_command(self, tmp_path, script):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+        argv = [sys.executable, str(root / "scripts" / script), "--seed", "-1",
+                "--epochs", "1", "--out", str(tmp_path / "runs")]
+        if script == "run_modelnet40.py":
+            argv.append(str(tmp_path / "meshes"))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
+        assert "error" not in proc.stdout

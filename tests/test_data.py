@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,12 +159,6 @@ class TestSubsample:
         b = subsample_density(pts, 16, make_rng(2))
         np.testing.assert_array_equal(a, b)
 
-    def test_nested_mode_gives_prefix_subsets(self):
-        pts = make_rng(9).standard_normal((64, 3)).astype(np.float32)
-        big = subsample_density(pts, 32, make_rng(3), nested=True)
-        small = subsample_density(pts, 16, make_rng(3), nested=True)
-        np.testing.assert_array_equal(small, big[:16])
-
     def test_oversample_error(self):
         with pytest.raises(DimensionError):
             subsample_density(np.zeros((8, 3), np.float32), 9, make_rng(0))
@@ -285,6 +282,34 @@ class TestCache:
         cache_write(path, np.zeros((0, 0, 3), np.float32), np.zeros(0, np.int64), 0)
         pts, labels, _ = cache_read(path)
         assert len(labels) == 0 and pts.shape[0] == 0
+
+    @staticmethod
+    def struct_writer(points, labels, n_classes):
+        """The SAPC bytes of a per-record struct writer, kept as the oracle."""
+        points = np.ascontiguousarray(points, dtype=np.float32)
+        count = len(labels)
+        body = bytearray(struct.pack("<HIHH", 1, count, n_classes,
+                                     points.shape[1] if count else 0))
+        for i in range(count):
+            body += struct.pack("<H", int(labels[i])) + points[i].tobytes()
+        return b"SAPC" + bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+    def test_bytes_equal_per_record_struct_writer(self, tmp_path):
+        train, test, _ = synth_shapes(5, 64, seed=3)
+        _, empty, _ = synth_shapes(1, 64, seed=3)  # one cloud per class leaves no test split
+        wide = make_rng(11).standard_normal((3, 7, 3))  # float64 input, labels past 255
+        cases = [(train.points, train.labels, 4), (test.points, test.labels, 4),
+                 (empty.points, empty.labels, 4), (wide, np.array([0, 300, 65535]), 40)]
+        for points, labels, n_classes in cases:
+            path = tmp_path / "split.sapc"
+            cache_write(path, points, labels, n_classes)
+            oracle = self.struct_writer(points, labels, n_classes)
+            assert path.read_bytes() == oracle
+            pts, labs, _ = cache_read(path)
+            np.testing.assert_array_equal(pts, np.asarray(points, np.float32).reshape(pts.shape))
+            np.testing.assert_array_equal(labs, labels)
+            assert pts.dtype == np.float32 and labs.dtype == np.int64
+            assert pts.flags.writeable and pts.flags.c_contiguous
 
     def test_dataset_dir_roundtrip(self, tmp_path):
         train, test, manifest = synth_shapes(4, 64, seed=5)
