@@ -10,10 +10,11 @@ even pairs and the change first in odd ones. Every run is printed as it
 ends. The summary is one Markdown table row in the layout of CHANGES.md:
 per end-to-end metric of the change's BENCHMARK.json, the parent's and the
 change's median [q1, q3], the change in per cent, and the pairs the change
-won (ties count for neither side); then each side's correctness. A gain
-meets the benchmark's rule when at least 10 pairs ran, the change won at
-least nine tenths of them, and the medians differ by more than the
-parent's quartile distance.
+won (ties count for neither side, and a pair where either side crashed
+counts against the change); then each side's correctness. A gain meets
+the benchmark's rule when at least 10 pairs ran, the change won at least
+nine tenths of them, and the medians differ by more than the parent's
+quartile distance.
 """
 
 from __future__ import annotations
@@ -49,12 +50,20 @@ def fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def summarise(name: str, better: str, parent: list[float], change: list[float]) -> str:
-    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric."""
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
+def summarise(name: str, better: str, parent: list[float | None],
+              change: list[float | None]) -> str:
+    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric.
+
+    Pair i is (parent[i], change[i]); None marks a side that crashed. The
+    quartiles cover the complete pairs, and n counts every pair run.
+    """
+    done = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    if not done:
+        return "no complete pair"
+    p1, pm, p3 = quartiles([p for p, _ in done])
+    c1, cm, c3 = quartiles([c for _, c in done])
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    wins = sum(sign * (c - p) > 0 for p, c in done)
     pct = 100.0 * (cm / pm - 1.0) if pm else float("nan")
     rule = len(parent) >= 10 and wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
     return (f"{fmt(pm)} [{fmt(p1)}, {fmt(p3)}] → {fmt(cm)} [{fmt(c1)}, {fmt(c3)}], "
@@ -98,16 +107,12 @@ def main(argv=None) -> int:
             ok = "" if res is None else f" correct={res['correct']} failed={res['failed']}"
             print(f"pair {i} seed {seed} {side}: {shown}{ok}", flush=True)
 
-    cells = []
-    for metric in bench["end_to_end"]:
-        name = metric["name"]
-        pairs = [(pr["metrics"][name]["value"], ch["metrics"][name]["value"])
-                 for pr, ch in zip(runs["parent"], runs["change"])
-                 if pr is not None and ch is not None and name in pr["metrics"] and name in ch["metrics"]]
-        if not pairs:
-            cells.append("no complete pair")
-            continue
-        cells.append(summarise(name, metric["better"], [a for a, _ in pairs], [b for _, b in pairs]))
+    def values(side: str, name: str) -> list[float | None]:
+        return [r["metrics"][name]["value"] if r is not None and name in r["metrics"] else None
+                for r in runs[side]]
+
+    cells = [summarise(m["name"], m["better"], values("parent", m["name"]),
+                       values("change", m["name"])) for m in bench["end_to_end"]]
     seeds = f"seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
     print()
     print("| workload | pairs | " + " | ".join(f"`{m['name']}`" for m in bench["end_to_end"]) + " |")

@@ -29,17 +29,15 @@ from .data import PointDataset, augment, ingest_modelnet40, subsample_density, s
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import frame, unframe
 from .layers import AdderLinear, ShiftLinear
-from .models import VARIANTS, ModelConfig, build_model, knn_group
+from .models import ModelConfig, build_model, knn_group, layer_kind_sequence
 from .optim import build_optimizers, modulate_gradient, route_parameters
 from .tensor import softmax_cross_entropy, substream
 
 CKPT_MAGIC = b"SAMC"
-DENSITY_CHOICES = (1024, 512, 256, 128, 64, 32)
 
 # desk-scale preset: small enough that every variant trains in minutes on a CPU
 SYNTH_MODEL = ModelConfig(embed_widths=(8, 8, 16, 32), encoder_widths=(32, 64),
                           head_widths=(32,), num_classes=4, knn_k=4, points_in=256)
-MODELNET_MODEL = ModelConfig()
 
 EPOCH_DEFAULTS = {"synthetic": 60, "modelnet40": 200}
 
@@ -50,7 +48,7 @@ class RunConfig:
 
     Every setting is declared here once: the INI file is parsed by each
     field's type hint, `train` flags override fields by name, and the
-    checks below hold for files and flags alike.
+    checks below are the only checks of a setting, for files and flags alike.
     """
 
     variant: str = "sa"
@@ -81,13 +79,17 @@ class RunConfig:
 
     def __post_init__(self):
         for key, least in (("batch_size", 1), ("seed", 0), ("epochs", 0),
-                           ("synth_per_class", 1)):
+                           ("synth_per_class", 1), ("cycles", 1)):
             val = getattr(self, key)
             if val is not None and val < least:
                 raise ConfigError(f"{key} must be >= {least}, got {val}")
+        source, _, root = self.data.partition(":")
+        if self.data != "synthetic" and not (source == "modelnet40" and root):
+            raise ConfigError(f"data must be synthetic or modelnet40:<dir>, got {self.data!r}")
+        layer_kind_sequence(self.variant)  # raises ConfigError for an unknown variant
 
     def source(self) -> str:
-        return "modelnet40" if self.data.startswith("modelnet40") else self.data
+        return self.data.split(":", 1)[0]
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
@@ -95,12 +97,8 @@ class RunConfig:
         return EPOCH_DEFAULTS[self.source()]
 
     def model_config(self) -> ModelConfig:
-        if self.source() == "synthetic":
-            base = replace(SYNTH_MODEL, points_in=self.synth_points)
-        elif self.source() == "modelnet40":
-            base = MODELNET_MODEL
-        else:
-            raise ConfigError(f"unknown data source {self.data!r}")
+        synthetic = self.source() == "synthetic"
+        base = replace(SYNTH_MODEL, points_in=self.synth_points) if synthetic else ModelConfig()
         over = {"points_in" if key == "points" else key: getattr(self, key)
                 for key in _SECTIONS["model"] if getattr(self, key) is not None}
         return replace(base, variant=self.variant, **over)
@@ -135,17 +133,19 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 
 def config_from_ini(text: str) -> RunConfig:
-    """Parse a run config; malformed INI or a bad value raises ConfigError."""
+    """Parse a run config; malformed INI, an unknown key or a bad value raises ConfigError."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed INI config: {exc}") from exc
     kwargs = {}
-    for section, keys in _SECTIONS.items():
-        for key in keys:
-            if not parser.has_option(section, key):
-                continue
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"config has unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"config [{section}] has unknown key {key!r}")
             try:
                 kwargs[key] = _ini_value(_HINTS[key], parser.get(section, key))
             except (configparser.Error, ValueError) as exc:
@@ -168,13 +168,12 @@ def _ini_value(hint, raw: str):
 # --- datasets ---
 
 def load_datasets(cfg: RunConfig):
-    if cfg.source() == "synthetic":
-        return synth_shapes(cfg.synth_per_class, cfg.synth_points, cfg.seed)
-    root = cfg.data.split(":", 1)
-    if len(root) != 2 or not root[1]:
-        raise ConfigError("modelnet40 source must be written as modelnet40:<dir>")
-    points = cfg.points if cfg.points is not None else MODELNET_MODEL.points_in
-    return ingest_modelnet40(root[1], points_per_cloud=points, seed=cfg.seed)
+    if cfg.source() == "modelnet40":
+        return ingest_modelnet40(cfg.data.split(":", 1)[1], cfg.model_config().points_in, cfg.seed)
+    splits = synth_shapes(cfg.synth_per_class, cfg.synth_points, cfg.seed)
+    if not len(splits[1]):
+        raise ConfigError(f"synth_per_class {cfg.synth_per_class} leaves the test split empty")
+    return splits
 
 
 # --- checkpoints ---
@@ -259,8 +258,7 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
     knn_cache memoizes neighbor indices per batch offset; valid only while
     the dataset object is unchanged (the per-epoch eval inside training).
     """
-    correct = np.zeros(len(ds.class_names), np.int64)
-    total = np.zeros(len(ds.class_names), np.int64)
+    correct, total = np.zeros((2, len(ds.class_names)), np.int64)
     for start in range(0, len(ds), batch_size):
         pts = ds.points[start : start + batch_size]
         labels = ds.labels[start : start + batch_size]
@@ -270,10 +268,8 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
             if idx is None:
                 idx = knn_cache[start] = knn_group(pts, model.cfg.knn_k)
         pred = np.argmax(model.forward(pts, train=False, neighbor_idx=idx), axis=1)
-        for cls in range(len(ds.class_names)):
-            mask = labels == cls
-            total[cls] += int(mask.sum())
-            correct[cls] += int((pred[mask] == cls).sum())
+        total += np.bincount(labels, minlength=len(total))
+        correct += np.bincount(labels[pred == labels], minlength=len(total))
     acc = float(correct.sum() / max(total.sum(), 1))
     per_class = {name: float(correct[i] / total[i]) if total[i] else None
                  for i, name in enumerate(ds.class_names)}
@@ -282,6 +278,12 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
 
 def _grad_rms(g: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.asarray(g, dtype=np.float64) ** 2)))
+
+
+def _write(out, name: str, text: str) -> None:
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
 
 
 # --- training ---
@@ -293,9 +295,8 @@ def cmd_train(cfg: RunConfig) -> Path:
                   num_classes=cfg.num_classes or len(train_ds.class_names))
     model_cfg = cfg.model_config()
     out_dir = Path(cfg.out or f"runs/{cfg.variant}_{cfg.source()}_s{cfg.seed}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_text = config_to_ini(cfg)
-    (out_dir / "config.ini").write_text(config_text)
+    _write(out_dir, "config.ini", config_text)
 
     model = build_model(model_cfg, substream(cfg.seed, 0))
     optimizers = build_optimizers(route_parameters(model),
@@ -409,11 +410,10 @@ def cmd_eval(ckpt, data: str | None = None, density: int | None = None,
     model, cfg, seed = _open_checkpoint(ckpt, data, seed, batch_size)
     _, test_ds, _ = load_datasets(cfg)
     report = _density_report(ckpt, model, cfg, test_ds, density, seed)
+    text = json.dumps(report, indent=1)
+    print(text)
     if out:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"eval_d{report['density']}.json", "w") as fh:
-            json.dump(report, fh, indent=1)
+        _write(out, f"eval_d{report['density']}.json", text)
     return report
 
 
@@ -421,6 +421,8 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
                     seed: int | None = None, out=None):
     """Per-layer RMS of raw weight gradients; adder layers also report the
     post-modulation RMS (identically eta by construction)."""
+    if batches < 0:
+        raise ConfigError(f"batches must be >= 0, got {batches}")
     model, cfg, seed = _open_checkpoint(ckpt, data, seed)
     rows = []
     if batches > 0:
@@ -456,11 +458,8 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
     text = "\n".join(lines)
     print(text)
     if out:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "grad_report.json", "w") as fh:
-            json.dump(rows, fh, indent=1)
-        (out / "grad_report.txt").write_text(text + "\n")
+        _write(out, "grad_report.json", json.dumps(rows, indent=1))
+        _write(out, "grad_report.txt", text + "\n")
     return rows
 
 
@@ -515,6 +514,8 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
             written.append(path)
     else:
         raise ConfigError(f"unknown export kind {what!r}")
+    for path in written:
+        print(path)
     return written
 
 
@@ -522,19 +523,30 @@ def cmd_sweep_density(ckpt, data: str | None = None, densities=None,
                       seed: int | None = None, out=None):
     model, cfg, seed = _open_checkpoint(ckpt, data, seed)
     _, test_ds, _ = load_datasets(cfg)
-    if densities is None:
-        densities = (256, 128, 64, 32) if cfg.source() == "synthetic" else (1024, 512, 256, 128)
+    if densities is None:  # the cached cloud size and three halvings
+        densities = [test_ds.points.shape[1] >> i for i in range(4)]
     reports = [_density_report(ckpt, model, cfg, test_ds, d, seed) for d in densities]
     print(f"{'density':>8} {'accuracy':>9}")
     for r in reports:
         print(f"{r['density']:>8} {r['accuracy']:>9.4f}")
     if out:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "density_sweep.jsonl", "w") as fh:
-            for r in reports:
-                fh.write(json.dumps(r) + "\n")
+        _write(out, "density_sweep.jsonl", "".join(json.dumps(r) + "\n" for r in reports))
     return reports
+
+
+def _train(config=None, **overrides):
+    """`train`: the --config file (or the defaults), then each given flag replaces its field."""
+    cfg = config_from_ini(Path(config).read_text()) if config else RunConfig()
+    print(f"run directory: {cmd_train(replace(cfg, **overrides))}")
+
+
+def _sweep(densities=None, **kwargs):
+    """`sweep-density`: --densities is a comma-separated list of point counts."""
+    try:
+        parsed = tuple(int(v) for v in densities.split(",")) if densities else None
+    except ValueError as exc:
+        raise ConfigError(f"--densities {densities!r}: {exc}") from exc
+    cmd_sweep_density(densities=parsed, **kwargs)
 
 
 # --- argument parsing ---
@@ -549,12 +561,14 @@ def _add_common(p):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mulfree",
                                 description="multiplication-free point-cloud classifiers")
-    sub = p.add_subparsers(dest="cmd", required=True)
+    sub = p.add_subparsers(required=True, metavar="command")
 
-    # a flag left out is absent from the namespace; each present one is a RunConfig field
+    # each subcommand's flags are the keyword arguments of its `run` function; a
+    # train flag left out is absent from the namespace, each present one a RunConfig field
     t = sub.add_parser("train", help="train a variant and write a run directory",
                        argument_default=argparse.SUPPRESS)
-    t.add_argument("--variant", choices=VARIANTS, help="default sa")
+    t.set_defaults(run=_train)
+    t.add_argument("--variant", help="mul, shift, add or sa (default sa)")
     t.add_argument("--data", help="synthetic or modelnet40:<dir> (default synthetic)")
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch-size", type=int)
@@ -566,57 +580,39 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--synth-points", type=int)
 
     e = sub.add_parser("eval", help="accuracy report for a checkpoint")
+    e.set_defaults(run=cmd_eval)
     e.add_argument("--ckpt", required=True)
-    e.add_argument("--density", type=int, choices=DENSITY_CHOICES, default=None)
+    e.add_argument("--density", type=int, default=None, help="default: the cached cloud size")
     e.add_argument("--batch-size", type=int, default=None)
     _add_common(e)
 
     g = sub.add_parser("grad-report", help="per-layer gradient RMS table")
+    g.set_defaults(run=cmd_grad_report)
     g.add_argument("--ckpt", required=True)
     g.add_argument("--batches", type=int, default=4)
     _add_common(g)
 
     x = sub.add_parser("export", help="weight histograms, pooled features, packed shift weights")
+    x.set_defaults(run=cmd_export)
     x.add_argument("--ckpt", required=True)
     x.add_argument("--what", choices=("weights_hist", "features", "packed_shift"), required=True)
     x.add_argument("--data", default=None)
     x.add_argument("--out", required=True)
 
     s = sub.add_parser("sweep-density", help="evaluate one checkpoint across densities")
+    s.set_defaults(run=_sweep)
     s.add_argument("--ckpt", required=True)
-    s.add_argument("--densities", default=None, help="comma-separated point counts")
+    s.add_argument("--densities", default=None,
+                   help="comma-separated point counts (default: cloud size, three halvings)")
     _add_common(s)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    run = args.pop("run")
     try:
-        if args.cmd == "train":
-            overrides = {k: v for k, v in vars(args).items() if k != "cmd"}
-            ini = overrides.pop("config", None)
-            cfg = config_from_ini(Path(ini).read_text()) if ini else RunConfig()
-            out_dir = cmd_train(replace(cfg, **overrides))
-            print(f"run directory: {out_dir}")
-        elif args.cmd == "eval":
-            report = cmd_eval(args.ckpt, data=args.data, density=args.density,
-                              seed=args.seed, out=args.out, batch_size=args.batch_size)
-            print(json.dumps(report, indent=1))
-        elif args.cmd == "grad-report":
-            cmd_grad_report(args.ckpt, data=args.data, batches=args.batches,
-                            seed=args.seed, out=args.out)
-        elif args.cmd == "export":
-            for path in cmd_export(args.ckpt, args.what, args.out, data=args.data):
-                print(path)
-        elif args.cmd == "sweep-density":
-            densities = None
-            if args.densities:
-                try:
-                    densities = tuple(int(v) for v in args.densities.split(","))
-                except ValueError as exc:
-                    raise ConfigError(f"--densities {args.densities!r}: {exc}") from exc
-            cmd_sweep_density(args.ckpt, data=args.data, densities=densities,
-                              seed=args.seed, out=args.out)
+        run(**args)
     except (MulfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

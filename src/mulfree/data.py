@@ -61,8 +61,15 @@ class DatasetManifest:
         return json.dumps(self.__dict__, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        return cls(**json.loads(text))
+    def read(cls, path) -> "DatasetManifest":
+        """Parse a manifest.json; malformed content raises CacheError naming the file."""
+        try:  # bad UTF-8 or JSON, missing or unknown keys, or class names that are not strings
+            man = cls(**json.loads(Path(path).read_text()))
+            if list(map(str, man.class_names)) != man.class_names:
+                raise TypeError("class_names is not a list of strings")
+        except (ValueError, TypeError) as exc:
+            raise CacheError(f"{path}: malformed manifest: {exc}") from exc
+        return man
 
 
 # --- OFF meshes ---
@@ -273,10 +280,12 @@ def save_dataset(out_dir, train: PointDataset, test: PointDataset,
 
 def load_dataset(cache_dir) -> tuple[PointDataset, PointDataset, DatasetManifest]:
     cache = Path(cache_dir)
-    manifest = DatasetManifest.from_json((cache / "manifest.json").read_text())
+    manifest = DatasetManifest.read(cache / "manifest.json")
     names = manifest.class_names
     tr_p, tr_l, _ = cache_read(cache / "train.sapc")
     te_p, te_l, _ = cache_read(cache / "test.sapc")
+    if max(tr_l.max(initial=0), te_l.max(initial=0)) >= len(names):
+        raise CacheError(f"{cache}: a cached label is outside the manifest's {len(names)} classes")
     return (PointDataset(tr_p, tr_l, names), PointDataset(te_p, te_l, names), manifest)
 
 
@@ -295,7 +304,7 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024,
     cache = root / "sapc_cache"
     man_path = cache / "manifest.json"
     if man_path.exists():
-        manifest = DatasetManifest.from_json(man_path.read_text())
+        manifest = DatasetManifest.read(man_path)
         if manifest.points_per_cloud == points_per_cloud and manifest.seed == seed:
             return load_dataset(cache)
     classes = sorted(d.name for d in root.iterdir() if d.is_dir() and d.name != cache.name)

@@ -27,7 +27,11 @@ from .errors import ConfigError, DimensionError
 from .layers import (AdderLinear, BatchNorm, Layer, MaxPool, MulLinear, ReLU,
                      ShiftLinear, concat_coords)
 
-VARIANTS = ("mul", "shift", "add", "sa")
+# linear-family kinds of the 4 embedding + 2 encoder layers, in depth order; the
+# sa interleave starts with shift: embedding [shift, adder] * 2, encoder [shift, adder]
+_KIND_SEQUENCES = {"mul": ["mul"] * 6, "shift": ["shift"] * 6, "add": ["adder"] * 6,
+                   "sa": ["shift", "adder"] * 3}
+VARIANTS = tuple(_KIND_SEQUENCES)
 
 _LINEAR = {"mul": MulLinear, "shift": ShiftLinear, "adder": AdderLinear}
 _LINEAR_TYPES = tuple(_LINEAR.values())
@@ -47,17 +51,10 @@ class ModelConfig:
 
 
 def layer_kind_sequence(variant: str) -> list[str]:
-    """Linear-family kinds of the 4 embedding + 2 encoder layers, in depth order."""
-    if variant == "mul":
-        return ["mul"] * 6
-    if variant == "shift":
-        return ["shift"] * 6
-    if variant == "add":
-        return ["adder"] * 6
-    if variant == "sa":
-        # interleave starts with shift: embedding [shift, adder] * 2, encoder [shift, adder]
-        return ["shift", "adder", "shift", "adder", "shift", "adder"]
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    """The variant's layer kinds; the one check of a variant name."""
+    if variant not in _KIND_SEQUENCES:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return list(_KIND_SEQUENCES[variant])
 
 
 def knn_group(points: np.ndarray, k: int) -> np.ndarray:
@@ -237,6 +234,4 @@ class PointCloudClassifier:
 
 def build_model(cfg: ModelConfig, rng) -> PointCloudClassifier:
     """Construct the classifier for cfg.variant with seeded initialization."""
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {cfg.variant!r}; expected one of {VARIANTS}")
     return PointCloudClassifier(cfg, rng)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import struct
@@ -170,6 +171,10 @@ class TestSweep:
         lines = (tmp_path / "density_sweep.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["density"] == 64
+
+    def test_default_densities_are_cloud_size_and_three_halvings(self, sa_run):
+        reports = cmd_sweep_density(sa_run / "ckpt_last.bin")
+        assert [r["density"] for r in reports] == [64, 32, 16, 8]
 
 
 class TestGradReport:
@@ -404,7 +409,9 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n",
                                       "[run]\nbatch_size = 0\n", "[run]\nseed = -3\n",
-                                      "[run]\nepochs = -1\n"])
+                                      "[run]\nepochs = -1\n", "[run]\nepoch = 5\n",
+                                      "[bogus]\nx = 1\n", "[run]\nvariant = foo\n",
+                                      "[optim]\ncycles = 0\n"])
     def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
         ini.write_text(text)
@@ -452,6 +459,11 @@ class TestMainEntry:
         (["sweep-density", "--densities", "64,,32"], "--densities '64,,32'"),
         (["sweep-density", "--densities", "-5"], "density -5 outside [1, 64]"),
         (["sweep-density", "--densities", "0"], "density 0 outside [1, 64]"),
+        (["train", "--data", "foo"], "data must be synthetic or modelnet40:<dir>, got 'foo'"),
+        (["train", "--data", "modelnet40x:/tmp"], "got 'modelnet40x:/tmp'"),
+        (["train", "--variant", "foo"], "unknown variant 'foo'"),
+        (["train", "--synth-per-class", "2"], "synth_per_class 2 leaves the test split empty"),
+        (["grad-report", "--batches", "-1"], "batches must be >= 0, got -1"),
     ])
     def test_bad_value_exits_with_message(self, sa_run, capsys, argv, message):
         if argv[0] != "train":
@@ -459,6 +471,44 @@ class TestMainEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_eval_accepts_any_density_in_range(self, sa_run, capsys):
+        assert main(["eval", "--ckpt", str(sa_run / "ckpt_last.bin"), "--density", "48"]) == 0
+        assert json.loads(capsys.readouterr().out)["density"] == 48
+
+    def test_sweep_density_subcommand_prints_table(self, sa_run, capsys, tmp_path):
+        rc = main(["sweep-density", "--ckpt", str(sa_run / "ckpt_last.bin"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split() == ["density", "accuracy"]
+        assert [int(r.split()[0]) for r in rows[1:]] == [64, 32, 16, 8]
+        assert len((tmp_path / "density_sweep.jsonl").read_text().splitlines()) == 4
+
+    def test_export_subcommand_prints_paths(self, sa_run, capsys, tmp_path):
+        rc = main(["export", "--ckpt", str(sa_run / "ckpt_last.bin"), "--what", "packed_shift",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(str(p) for p in tmp_path.glob("*.saq1"))
+        assert len(printed) == 3  # embed1, embed3, encoder1 are the sa shift layers
+
+    def test_corrupt_manifest_exits_with_message(self, tmp_path, capsys):
+        from test_data import QUAD_OFF
+        for split in ("train", "test"):
+            d = tmp_path / "meshes" / "slab" / split
+            d.mkdir(parents=True)
+            (d / "good.off").write_text(QUAD_OFF)
+        argv = ["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--epochs", "0",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        manifest = tmp_path / "meshes" / "sapc_cache" / "manifest.json"
+        for text in (manifest.read_text()[:40], '{"seed": 7}'):
+            manifest.write_text(text)
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(manifest) in err
 
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"
@@ -471,6 +521,19 @@ class TestMainEntry:
 
 
 class TestScripts:
+    def test_gain_rule_counts_a_crashed_pair_against_the_change(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+        spec = importlib.util.spec_from_file_location("bench_pairs", path)
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+        parent, change = [100.0] * 10, [110.0] * 9 + [90.0]
+        met = bench_pairs.summarise("clouds_per_s", "higher", parent, change)
+        assert "9/10 wins (meets the gain rule)" in met
+        # one more pair in which the change crashed: 9 wins of 11 pairs run is short of 9/10
+        short = bench_pairs.summarise("clouds_per_s", "higher", parent + [100.0], change + [None])
+        assert short.endswith("9/11 wins")
+        assert bench_pairs.summarise("setup_s", "lower", [None], [0.1]) == "no complete pair"
+
     @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
     def test_stops_at_the_first_failed_command(self, tmp_path, script):
         root = Path(__file__).resolve().parents[1]

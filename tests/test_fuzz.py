@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from mulfree.cli import (RunConfig, config_from_ini, config_to_ini, load_checkpoint,
                          save_checkpoint)
-from mulfree.data import cache_read, cache_write, parse_off
-from mulfree.errors import MulfreeError
+from mulfree.data import (cache_read, cache_write, load_dataset, parse_off, save_dataset,
+                          synth_shapes)
+from mulfree.errors import CacheError, MulfreeError
 from mulfree.framing import frame
 from mulfree.layers import quantize_shift
 from mulfree.models import build_model
@@ -163,3 +164,48 @@ def test_config_from_ini_mutations(muts, cut):
         config_from_ini(bytes(text[: len(text) - cut % 8]).decode())
     except MulfreeError:
         pass
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    """(directory, manifest bytes) of a saved tiny synthetic dataset."""
+    path = tmp_path_factory.mktemp("dataset")
+    save_dataset(path, *synth_shapes(3, 64, seed=0))
+    return path, (path / "manifest.json").read_bytes()
+
+
+def load_with_manifest(dataset_dir, blob):
+    path, _ = dataset_dir
+    (path / "manifest.json").write_bytes(blob)
+    try:
+        load_dataset(path)
+    except MulfreeError:
+        pass
+
+
+JSON_BYTES = st.sampled_from(b'[]{}",:0123456789 -.eanul')
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.integers(0, 2 ** 16), st.one_of(st.integers(0, 255), JSON_BYTES)),
+                min_size=1, max_size=4))
+def test_manifest_byte_mutations(dataset_dir, muts):
+    blob = bytearray(dataset_dir[1])
+    for at, value in muts:
+        blob[at % len(blob)] = value
+    load_with_manifest(dataset_dir, bytes(blob))
+
+
+@FUZZ
+@given(st.integers(0, 2 ** 16))
+def test_manifest_truncations(dataset_dir, cut):
+    blob = dataset_dir[1]
+    load_with_manifest(dataset_dir, blob[: cut % len(blob)])
+
+
+def test_manifest_errors_name_the_file(dataset_dir):
+    path, blob = dataset_dir
+    for bad in (blob[:40], b"\xff", b'{"seed": 7}', b"[1, 2]", blob.replace(b'"cube"', b"7")):
+        (path / "manifest.json").write_bytes(bad)
+        with pytest.raises(CacheError, match="manifest.json"):
+            load_dataset(path)
