@@ -11,7 +11,8 @@ ends. The summary is one Markdown table row in the layout of CHANGES.md:
 per end-to-end metric of the change's BENCHMARK.json, the parent's and the
 change's median [q1, q3], the change in per cent, and the pairs the change
 won (ties count for neither side, and a pair where either side crashed
-counts against the change); then each side's correctness. A gain meets
+counts against the change); then each side's correctness. `--json PATH`
+also writes that row as JSON (see `summary_json`). A gain meets
 the benchmark's rule when at least 10 pairs ran, the change won at least
 nine tenths of them, and the medians differ by more than the parent's
 quartile distance.
@@ -50,33 +51,72 @@ def fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def summarise(name: str, better: str, parent: list[float | None],
-              change: list[float | None]) -> str:
-    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric.
+def compare(better: str, parent: list[float | None], change: list[float | None]) -> dict | None:
+    """One metric over the pairs: each side's median and quartiles, the change
+    in per cent, the wins, the pairs run and whether the gain rule is met.
 
     Pair i is (parent[i], change[i]); None marks a side that crashed. The
-    quartiles cover the complete pairs, and n counts every pair run.
+    quartiles cover the complete pairs, and `pairs` counts every pair run.
+    None when no pair is complete.
     """
     done = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
     if not done:
-        return "no complete pair"
+        return None
     p1, pm, p3 = quartiles([p for p, _ in done])
     c1, cm, c3 = quartiles([c for _, c in done])
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in done)
-    pct = 100.0 * (cm / pm - 1.0) if pm else float("nan")
-    rule = len(parent) >= 10 and wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
-    return (f"{fmt(pm)} [{fmt(p1)}, {fmt(p3)}] → {fmt(cm)} [{fmt(c1)}, {fmt(c3)}], "
-            f"{pct:+.1f} %, {wins}/{len(parent)} wins" + (" (meets the gain rule)" if rule else ""))
+    return {"parent": {"median": pm, "q1": p1, "q3": p3},
+            "change": {"median": cm, "q1": c1, "q3": c3},
+            "gain_pct": 100.0 * (cm / pm - 1.0) if pm else None,
+            "wins": wins, "pairs": len(parent),
+            "meets_gain_rule": (len(parent) >= 10 and wins >= 0.9 * len(parent)
+                                and sign * (cm - pm) > p3 - p1)}
 
 
-def correctness(runs: list[dict | None]) -> str:
+def summarise(name: str, better: str, parent: list[float | None],
+              change: list[float | None]) -> str:
+    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric."""
+    return fmt_compare(compare(better, parent, change))
+
+
+def fmt_compare(s: dict | None) -> str:
+    if s is None:
+        return "no complete pair"
+    p, c = s["parent"], s["change"]
+    gain = "n/a" if s["gain_pct"] is None else f"{s['gain_pct']:+.1f} %"
+    return (f"{fmt(p['median'])} [{fmt(p['q1'])}, {fmt(p['q3'])}] → "
+            f"{fmt(c['median'])} [{fmt(c['q1'])}, {fmt(c['q3'])}], "
+            f"{gain}, {s['wins']}/{s['pairs']} wins"
+            + (" (meets the gain rule)" if s["meets_gain_rule"] else ""))
+
+
+def correctness(runs: list[dict | None]) -> dict:
     done = [r for r in runs if r is not None]
-    correct = sum(r["correct"] for r in done)
-    failed = sum(r["failed"] for r in done)
-    attempted = sum(r["attempted"] for r in done)
-    return (f"{correct}/{len(runs)} runs correct, {len(runs) - len(done)} crashed, "
-            f"{failed} of {attempted} operations failed")
+    return {"runs": len(runs), "correct": sum(r["correct"] for r in done),
+            "crashed": len(runs) - len(done), "failed": sum(r["failed"] for r in done),
+            "attempted": sum(r["attempted"] for r in done)}
+
+
+def fmt_correctness(c: dict) -> str:
+    return (f"{c['correct']}/{c['runs']} runs correct, {c['crashed']} crashed, "
+            f"{c['failed']} of {c['attempted']} operations failed")
+
+
+def values(runs: list[dict | None], name: str) -> list[float | None]:
+    return [r["metrics"][name]["value"] if r is not None and name in r["metrics"] else None
+            for r in runs]
+
+
+def summary_json(bench: dict, workload: str, seeds: list[int],
+                 runs: dict[str, list[dict | None]]) -> dict:
+    """The summary row as data: `compare` per end-to-end metric (null when no
+    pair is complete), the seeds in pair order and each side's correctness."""
+    return {"workload": workload, "pairs": len(seeds), "seeds": seeds,
+            "metrics": {m["name"]: compare(m["better"], values(runs["parent"], m["name"]),
+                                           values(runs["change"], m["name"]))
+                        for m in bench["end_to_end"]},
+            "correctness": {side: correctness(runs[side]) for side in ("parent", "change")}}
 
 
 def main(argv=None) -> int:
@@ -88,6 +128,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, required=True)
     p.add_argument("--seconds", type=float, default=None,
                    help="timed seconds per run (default: run_seconds of BENCHMARK.json)")
+    p.add_argument("--json", type=Path, default=None, help="also write the summary row here")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -107,19 +148,19 @@ def main(argv=None) -> int:
             ok = "" if res is None else f" correct={res['correct']} failed={res['failed']}"
             print(f"pair {i} seed {seed} {side}: {shown}{ok}", flush=True)
 
-    def values(side: str, name: str) -> list[float | None]:
-        return [r["metrics"][name]["value"] if r is not None and name in r["metrics"] else None
-                for r in runs[side]]
-
-    cells = [summarise(m["name"], m["better"], values("parent", m["name"]),
-                       values("change", m["name"])) for m in bench["end_to_end"]]
+    row = summary_json(bench, args.workload,
+                       list(range(args.seed0, args.seed0 + args.pairs)), runs)
+    names = [m["name"] for m in bench["end_to_end"]]
     seeds = f"seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
     print()
-    print("| workload | pairs | " + " | ".join(f"`{m['name']}`" for m in bench["end_to_end"]) + " |")
-    print("| --- | --- | " + " | ".join("---" for _ in bench["end_to_end"]) + " |")
-    print(f"| {args.workload} | {args.pairs}, {seeds} | " + " | ".join(cells) + " |")
-    print(f"parent: {correctness(runs['parent'])}")
-    print(f"change: {correctness(runs['change'])}")
+    print("| workload | pairs | " + " | ".join(f"`{n}`" for n in names) + " |")
+    print("| --- | --- | " + " | ".join("---" for _ in names) + " |")
+    print(f"| {args.workload} | {args.pairs}, {seeds} | "
+          + " | ".join(fmt_compare(row["metrics"][n]) for n in names) + " |")
+    for side in ("parent", "change"):
+        print(f"{side}: {fmt_correctness(row['correctness'][side])}")
+    if args.json:
+        args.json.write_text(json.dumps(row, indent=1) + "\n")
     return 0
 
 

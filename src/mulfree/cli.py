@@ -536,7 +536,12 @@ def cmd_sweep_density(ckpt, data: str | None = None, densities=None,
 
 def _train(config=None, **overrides):
     """`train`: the --config file (or the defaults), then each given flag replaces its field."""
-    cfg = config_from_ini(Path(config).read_text()) if config else RunConfig()
+    cfg = RunConfig()
+    if config:
+        try:
+            cfg = config_from_ini(Path(config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{config}: config file is not UTF-8") from exc
     print(f"run directory: {cmd_train(replace(cfg, **overrides))}")
 
 

@@ -411,12 +411,18 @@ class TestMainEntry:
                                       "[run]\nbatch_size = 0\n", "[run]\nseed = -3\n",
                                       "[run]\nepochs = -1\n", "[run]\nepoch = 5\n",
                                       "[bogus]\nx = 1\n", "[run]\nvariant = foo\n",
-                                      "[optim]\ncycles = 0\n"])
+                                      "[optim]\ncycles = 0\n", b"[run]\nvariant = \xff\n"])
     def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
-        ini.write_text(text)
+        if isinstance(text, bytes):
+            ini.write_bytes(text)
+        else:
+            ini.write_text(text)
         assert main(["train", "--config", str(ini)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if isinstance(text, bytes):
+            assert str(ini) in err
 
     def test_non_utf8_off_file_exits_with_message(self, tmp_path, capsys):
         from test_data import QUAD_OFF
@@ -520,12 +526,17 @@ class TestMainEntry:
         assert cfg.variant == "add"
 
 
+def _bench_pairs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestScripts:
     def test_gain_rule_counts_a_crashed_pair_against_the_change(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-        spec = importlib.util.spec_from_file_location("bench_pairs", path)
-        bench_pairs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_pairs)
+        bench_pairs = _bench_pairs()
         parent, change = [100.0] * 10, [110.0] * 9 + [90.0]
         met = bench_pairs.summarise("clouds_per_s", "higher", parent, change)
         assert "9/10 wins (meets the gain rule)" in met
@@ -533,6 +544,32 @@ class TestScripts:
         short = bench_pairs.summarise("clouds_per_s", "higher", parent + [100.0], change + [None])
         assert short.endswith("9/11 wins")
         assert bench_pairs.summarise("setup_s", "lower", [None], [0.1]) == "no complete pair"
+
+    def test_summary_json_row(self):
+        bench_pairs = _bench_pairs()
+        bench = {"end_to_end": [{"name": "clouds_per_s", "better": "higher"},
+                                {"name": "setup_s", "better": "lower"}]}
+
+        def run(cps, setup, correct=True, failed=0):
+            return {"metrics": {"clouds_per_s": {"value": cps}, "setup_s": {"value": setup}},
+                    "correct": correct, "failed": failed, "attempted": 4}
+
+        runs = {"parent": [run(100.0, 1.0), run(102.0, 1.0), run(98.0, 1.2)],
+                "change": [run(110.0, 0.9), None, run(99.0, 1.3, correct=False, failed=1)]}
+        row = bench_pairs.summary_json(bench, "desk-train", [5, 6, 7], runs)
+        row = json.loads(json.dumps(row, allow_nan=False))  # plain JSON, no NaN
+        assert (row["workload"], row["pairs"], row["seeds"]) == ("desk-train", 3, [5, 6, 7])
+        cps = row["metrics"]["clouds_per_s"]
+        assert cps["parent"] == {"median": 99.0, "q1": 98.5, "q3": 99.5}
+        assert cps["change"] == {"median": 104.5, "q1": 101.75, "q3": 107.25}
+        assert (cps["wins"], cps["pairs"], cps["meets_gain_rule"]) == (2, 3, False)
+        assert cps["gain_pct"] == pytest.approx(100 * (104.5 / 99.0 - 1))
+        assert row["metrics"]["setup_s"]["wins"] == 1
+        assert row["correctness"] == {
+            "parent": {"runs": 3, "correct": 3, "crashed": 0, "failed": 0, "attempted": 12},
+            "change": {"runs": 3, "correct": 1, "crashed": 1, "failed": 1, "attempted": 8}}
+        assert bench_pairs.summary_json(bench, "x", [1], {"parent": [None], "change": [None]})[
+            "metrics"] == {"clouds_per_s": None, "setup_s": None}
 
     @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
     def test_stops_at_the_first_failed_command(self, tmp_path, script):

@@ -251,18 +251,25 @@ class TestAdderLinear:
         np.testing.assert_allclose(dx.reshape(-1, 6), dx_o, rtol=0, atol=1e-6)
 
     # 0, 1 and 7 rows: fewer rows than workers, or not divisible by them;
-    # 4096x8->8 and 1024x35->64: the narrow desk-width layers
-    @pytest.mark.parametrize("rows, ci, co", [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512),
-                                              (4096, 8, 8), (1024, 35, 64)])
-    def test_row_split_input_grad_bit_identical_to_loop(self, row_workers, rows, ci, co):
+    # 4096x8->8, 1024x35->64 and the desk encoder2 8192x35->64: the narrow
+    # desk-width layers. Across the worker counts the 8192x35->64 blocks span
+    # 1, 2 and 3 channel tiles of tensor.TILE_BYTES, and the float64
+    # 4200x67->64 blocks 2, 3 and 5.
+    @pytest.mark.parametrize("rows, ci, co, dtype", [
+        *(pytest.param(r, i, o, np.float32, id=f"{r}-{i}-{o}")
+          for r, i, o in [(0, 5, 3), (1, 5, 3), (7, 5, 3), (2048, 259, 512), (4096, 8, 8),
+                          (1024, 35, 64), (8192, 35, 64)]),
+        pytest.param(4200, 67, 64, np.float64, id="4200-67-64-float64")])
+    def test_row_split_input_grad_bit_identical_to_loop(self, row_workers, rows, ci, co, dtype):
         rng = make_rng(rows + 1)
         layer = AdderLinear(ci, co, rng)
-        x = rng.uniform(-3, 3, (rows, ci)).astype(np.float32)  # spans both clip regions
-        dy = rng.standard_normal((rows, co)).astype(np.float32)
+        x = rng.uniform(-3, 3, (rows, ci)).astype(dtype)  # spans both clip regions
+        dy = rng.standard_normal((rows, co)).astype(dtype)
         layer.forward(x)
         dx = layer.backward(dy)
-        assert dx.dtype == np.float32
-        assert np.array_equal(dx, adder_input_grad_loop(x, layer.w.data, dy))
+        assert dx.dtype == dtype
+        w = layer.w.data.astype(dtype)
+        assert np.array_equal(dx, adder_input_grad_loop(x, w, dy))
 
     def test_row_split_input_grad_float64_bit_identical_to_loop(self, row_workers):
         rng = make_rng(5)
@@ -351,6 +358,22 @@ class TestBatchNorm:
         expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(y, expect, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_bit_identical_to_expression(self, dtype):
+        rng = make_rng(19)
+        bn = BatchNorm(24)
+        bn.gamma.data = rng.uniform(0.5, 1.5, 24).astype(np.float32)
+        bn.beta.data = rng.standard_normal(24).astype(np.float32)
+        bn.running_mean = rng.standard_normal(24).astype(np.float32)
+        bn.running_var = rng.uniform(0.1, 3.0, 24).astype(np.float32)
+        x = (rng.standard_normal((4, 33, 24)) * 2.0 + 0.3).astype(dtype)
+        xf = x.reshape(-1, 24)
+        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        want = (bn.gamma.data * ((xf - bn.running_mean) * inv) + bn.beta.data).reshape(x.shape)
+        y = bn.forward(x, train=False)
+        assert y.dtype == want.dtype == dtype
+        assert np.array_equal(y, want)
+
 
 def batchnorm_reference(bn, x, dy):
     """A train-mode forward and backward of `bn` written as plain
@@ -378,14 +401,28 @@ def batchnorm_reference(bn, x, dy):
 class TestBatchNormReference:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_step_bit_identical_to_reference(self, dtype):
+        self.check_step((3, 37, 16), dtype)  # m = 111, odd
+
+    # every train-mode shape the program runs: desk (the defaults) and full
+    # scale (1024 points, k=16, batch 2)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, c", [(32768, 8), (8192, 16), (8192, 32), (8192, 64),
+                                      (32768, 64), (2048, 128), (2048, 256), (2048, 512),
+                                      (2048, 1024)])
+    def test_program_shapes_bit_identical_to_reference(self, m, c, dtype):
+        self.check_step((m, c), dtype)
+
+    @staticmethod
+    def check_step(shape, dtype):
+        c = shape[-1]
         rng = make_rng(23)
-        bn = BatchNorm(16)
-        bn.gamma.data = rng.uniform(0.5, 1.5, 16).astype(np.float32)
-        bn.beta.data = rng.standard_normal(16).astype(np.float32)
-        bn.running_mean = rng.standard_normal(16).astype(np.float32)
-        bn.running_var = rng.uniform(0.5, 2.0, 16).astype(np.float32)
-        x = (rng.standard_normal((3, 37, 16)) * 2.5 + 0.7).astype(dtype)  # m = 111, odd
-        dy = rng.standard_normal((3, 37, 16)).astype(dtype)
+        bn = BatchNorm(c)
+        bn.gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        bn.beta.data = rng.standard_normal(c).astype(np.float32)
+        bn.running_mean = rng.standard_normal(c).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        x = (rng.standard_normal(shape) * 2.5 + 0.7).astype(dtype)
+        dy = rng.standard_normal(shape).astype(dtype)
         want = batchnorm_reference(bn, x, dy)
         y = bn.forward(x, train=True)
         xhat, inv = bn._ctx

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mulfree.errors import DimensionError, EmptyInputError, LabelError
-from mulfree.tensor import (affine_map, global_max_pool, make_rng, over_rows,
+from mulfree.tensor import (affine_map, column_sum, global_max_pool, make_rng, over_rows,
                             pairwise_l1_neg, softmax_cross_entropy, substream)
 
 from gradcheck import assert_grad_close, central_diff
@@ -162,6 +162,21 @@ class TestOverRows:
             os._exit(0 if np.array_equal(pairwise_l1_neg(x, w), expected) else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestColumnSum:
+    # row-major with 8 columns (the narrowest batch norm), one column,
+    # column-major and strided views, and an empty batch
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["c", "one-column", "fortran", "strided", "empty"])
+    def test_bit_identical_to_sum_axis0(self, view, dtype):
+        x = (make_rng(31).standard_normal((32768, 64)) * 3.0 + 0.5).astype(dtype)
+        x = {"c": lambda: x[:, :8].copy(), "one-column": lambda: x[:, :1].copy(),
+             "fortran": lambda: np.asfortranarray(x), "strided": lambda: x[::3, ::2],
+             "empty": lambda: x[:0]}[view]()
+        got, want = column_sum(x), x.sum(axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGlobalMaxPool:
