@@ -29,7 +29,7 @@ from .data import PointDataset, augment, ingest_modelnet40, subsample_density, s
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import frame, unframe
 from .layers import AdderLinear, ShiftLinear
-from .models import ModelConfig, build_model, knn_group, layer_kind_sequence
+from .models import ModelConfig, build_model, knn_group
 from .optim import build_optimizers, modulate_gradient, route_parameters
 from .tensor import softmax_cross_entropy, substream
 
@@ -49,6 +49,8 @@ class RunConfig:
     Every setting is declared here once: the INI file is parsed by each
     field's type hint, `train` flags override fields by name, and the
     checks below are the only checks of a setting, for files and flags alike.
+    They include the architecture's, through `model_config()`, so a bad
+    setting fails before the run directory is written.
     """
 
     variant: str = "sa"
@@ -86,7 +88,16 @@ class RunConfig:
         source, _, root = self.data.partition(":")
         if self.data != "synthetic" and not (source == "modelnet40" and root):
             raise ConfigError(f"data must be synthetic or modelnet40:<dir>, got {self.data!r}")
-        layer_kind_sequence(self.variant)  # raises ConfigError for an unknown variant
+        for key in ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
+                    "lr_modulated_end"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if self.eta is None or not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
+        classes = self.model_config().num_classes  # ModelConfig checks the architecture
+        if self.class_names and classes < len(self.class_names):
+            raise ConfigError(f"num_classes {classes} is below the data's "
+                              f"{len(self.class_names)} classes")
 
     def source(self) -> str:
         return self.data.split(":", 1)[0]
@@ -288,6 +299,21 @@ def _write(out, name: str, text: str) -> None:
 
 # --- training ---
 
+def backprop_batch(model, pts, labels, rms_sums: dict, where: str):
+    """Train-mode forward, loss and backward of a batch; returns (loss, logits). Adds
+    each instrumented layer's gradient RMS to rms_sums; a non-finite loss raises
+    TrainingDivergedError naming the stage that failed, at `where` ("epoch N", "batch N")."""
+    logits = model.forward(pts, train=True)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    if not math.isfinite(loss):
+        bad = model.diagnose(pts) or "loss"
+        raise TrainingDivergedError(f"non-finite loss at {where}; first offending layer: {bad}")
+    model.backward(dlogits)
+    for name, layer in model.instrumented_layers():
+        rms_sums[name] = rms_sums.get(name, 0.0) + _grad_rms(layer.w.grad)
+    return loss, logits
+
+
 def cmd_train(cfg: RunConfig) -> Path:
     epochs = cfg.resolved_epochs()
     train_ds, test_ds, _ = load_datasets(cfg)
@@ -327,15 +353,7 @@ def cmd_train(cfg: RunConfig) -> Path:
                 if cfg.augment:
                     pts = augment(pts, augment_rng)
                 labels = train_ds.labels[sel]
-                logits = model.forward(pts, train=True)
-                loss, dlogits = softmax_cross_entropy(logits, labels)
-                if not math.isfinite(loss):
-                    bad = model.diagnose(pts) or "loss"
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}; first offending layer: {bad}")
-                model.backward(dlogits)
-                for name, layer in model.instrumented_layers():
-                    rms_sums[name] = rms_sums.get(name, 0.0) + _grad_rms(layer.w.grad)
+                loss, logits = backprop_batch(model, pts, labels, rms_sums, f"epoch {epoch}")
                 for opt, _ in optimizers:
                     opt.step(lrs[opt.kind])
                 loss_sum += loss * len(sel)
@@ -420,36 +438,27 @@ def cmd_eval(ckpt, data: str | None = None, density: int | None = None,
 def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
                     seed: int | None = None, out=None):
     """Per-layer RMS of raw weight gradients; adder layers also report the
-    post-modulation RMS (identically eta by construction)."""
+    post-modulation RMS (identically eta by construction). A non-finite
+    loss raises TrainingDivergedError, as in training."""
     if batches < 0:
         raise ConfigError(f"batches must be >= 0, got {batches}")
     model, cfg, seed = _open_checkpoint(ckpt, data, seed)
-    rows = []
+    raw: dict[str, float] = {}
+    mod: dict[str, float] = {}
     if batches > 0:
         train_ds, _, _ = load_datasets(cfg)
         rng = substream(seed, 3)
-        raw: dict[str, float] = {}
-        mod: dict[str, float] = {}
-        kinds: dict[str, str] = {}
-        for _ in range(batches):
+        for b in range(batches):
             sel = rng.choice(len(train_ds), size=min(cfg.batch_size, len(train_ds)),
                              replace=False)
-            logits = model.forward(train_ds.points[sel], train=True)
-            _, dlogits = softmax_cross_entropy(logits, train_ds.labels[sel])
-            model.backward(dlogits)
+            backprop_batch(model, train_ds.points[sel], train_ds.labels[sel], raw, f"batch {b}")
             for name, layer in model.instrumented_layers():
-                kinds[name] = layer.kind
-                raw[name] = raw.get(name, 0.0) + _grad_rms(layer.w.grad)
                 if isinstance(layer, AdderLinear):
                     mod[name] = mod.get(name, 0.0) + _grad_rms(
                         modulate_gradient(layer.w.grad, cfg.eta))
-        for name in raw:
-            rows.append({
-                "layer": name,
-                "kind": kinds[name],
-                "grad_rms": raw[name] / batches,
-                "modulated_rms": (mod[name] / batches) if name in mod else None,
-            })
+    rows = [{"layer": name, "kind": layer.kind, "grad_rms": raw[name] / batches,
+             "modulated_rms": (mod[name] / batches) if name in mod else None}
+            for name, layer in model.instrumented_layers() if name in raw]
     header = f"{'layer':<12} {'kind':<6} {'grad_rms':>12} {'modulated_rms':>14}"
     lines = [header, "-" * len(header)]
     for r in rows:

@@ -39,7 +39,9 @@ _LINEAR_TYPES = tuple(_LINEAR.values())
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters; defaults target the full benchmark scale."""
+    """Architecture hyperparameters; defaults target the full benchmark scale.
+    Checked once, here: a known variant, 4 + 2 widths, every width, the class
+    count and knn_k at least 1, and knn_k no more than points_in."""
 
     variant: str = "sa"
     embed_widths: tuple = (64, 64, 128, 256)
@@ -48,6 +50,17 @@ class ModelConfig:
     num_classes: int = 40
     knn_k: int = 16
     points_in: int = 1024
+
+    def __post_init__(self):
+        layer_kind_sequence(self.variant)
+        if len(self.embed_widths) != 4 or len(self.encoder_widths) != 2:
+            raise ConfigError("expected 4 embedding widths and 2 encoder widths")
+        if min(*self.embed_widths, *self.encoder_widths, *self.head_widths,
+               self.num_classes, self.knn_k) < 1:
+            raise ConfigError("widths, classes and knn_k must be positive")
+        if self.knn_k > self.points_in:
+            raise ConfigError(f"knn_k {self.knn_k} exceeds points_in {self.points_in}, "
+                              "the points of a cloud")
 
 
 def layer_kind_sequence(variant: str) -> list[str]:
@@ -107,11 +120,6 @@ class PointCloudClassifier:
     """Shared four-stage classifier; see the module docstring for the graph."""
 
     def __init__(self, cfg: ModelConfig, rng):
-        if len(cfg.embed_widths) != 4 or len(cfg.encoder_widths) != 2:
-            raise ConfigError("expected 4 embedding widths and 2 encoder widths")
-        if min(*cfg.embed_widths, *cfg.encoder_widths, *cfg.head_widths,
-               cfg.num_classes, cfg.knn_k) < 1:
-            raise ConfigError("widths, classes and knn_k must be positive")
         self.cfg = cfg
         self.coords = CoordConcat()
         self.stages: list[tuple[str, Layer]] = []

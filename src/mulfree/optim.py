@@ -138,10 +138,8 @@ def build_optimizers(groups: dict[str, list], adaptive_lr, modulated_lr, eta: fl
                      total_epochs: int, cycles: int = 1) -> list:
     """(optimizer, schedule) pairs for the routed groups, adaptive first.
 
-    The rates are (start, end) pairs; eta must be positive.
+    The rates are (start, end) pairs; RunConfig checks them and eta.
     """
-    if not (eta and eta > 0):
-        raise ConfigError("modulated_sgd requires eta > 0")
     out = []
     if AdaptiveMoment.kind in groups:
         out.append((AdaptiveMoment(groups[AdaptiveMoment.kind]),

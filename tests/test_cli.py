@@ -285,6 +285,16 @@ class TestDiagnostics:
         with pytest.raises(TrainingDivergedError, match=r"first offending layer: embed3\b"):
             cmd_train(tiny_cfg(out=str(tmp_path / "diverge")))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_grad_report_on_diverged_checkpoint_names_the_stage(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        model = build_model(cfg.model_config(), substream(0, 0))
+        dict(model.stages)["encoder2"].w.data[0, 0] = np.nan
+        save_checkpoint(tmp_path / "nan.bin", model, config_to_ini(cfg))
+        assert main(["grad-report", "--ckpt", str(tmp_path / "nan.bin"), "--batches", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite loss at batch 0; first offending layer: encoder2" in err
+
     def test_diagnose_names_first_bad_layer(self):
         model = build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8, 8),
                                         encoder_widths=(8, 8), head_widths=(8,),
@@ -411,14 +421,19 @@ class TestMainEntry:
                                       "[run]\nbatch_size = 0\n", "[run]\nseed = -3\n",
                                       "[run]\nepochs = -1\n", "[run]\nepoch = 5\n",
                                       "[bogus]\nx = 1\n", "[run]\nvariant = foo\n",
-                                      "[optim]\ncycles = 0\n", b"[run]\nvariant = \xff\n"])
+                                      "[optim]\ncycles = 0\n", b"[run]\nvariant = \xff\n",
+                                      "[optim]\neta = 0\n", "[optim]\nlr_adaptive_start = -1\n",
+                                      "[model]\nknn_k = 100\n[data]\nsynth_points = 64\n",
+                                      "[model]\nembed_widths = 4,4,8\n",
+                                      "[model]\nnum_classes = 2\n[data]\nsynth_points = 64\n"])
     def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
         if isinstance(text, bytes):
             ini.write_bytes(text)
         else:
             ini.write_text(text)
-        assert main(["train", "--config", str(ini)]) == 1
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "run").exists()  # checked before the run directory is written
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         if isinstance(text, bytes):

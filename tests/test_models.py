@@ -122,6 +122,9 @@ class TestStructure:
         with pytest.raises(ConfigError):
             build_model(ModelConfig(variant="mul", **{**SMALL, "head_widths": (8, -2)}),
                         substream(0, 0))
+        with pytest.raises(ConfigError, match="knn_k 33 exceeds points_in 32"):
+            ModelConfig(variant="mul", **{**SMALL, "knn_k": 33})
+        assert ModelConfig(variant="mul", **{**SMALL, "knn_k": 32}).knn_k == 32
 
 
 class TestForward:

@@ -178,8 +178,17 @@ class TestRouting:
         assert cfg.eta == 0.2 and cfg.batch_size == 32
 
     def test_modulated_route_requires_eta(self):
-        with pytest.raises(ConfigError):
-            build_optimizers({}, (1e-3, 1e-6), (2e-2, 2e-3), None, 10)
+        for eta in (0, None, -0.2, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="eta must be finite and > 0"):
+                RunConfig(eta=eta)
+
+    def test_learning_rates_must_be_finite_and_not_negative(self):
+        for key in ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
+                    "lr_modulated_end"):
+            for lr in (-1e-3, float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match=f"{key} must be finite and >= 0"):
+                    RunConfig(**{key: lr})
+            assert getattr(RunConfig(**{key: 0.0}), key) == 0.0
 
     def test_optimizers_follow_groups_adaptive_first(self):
         model = build_model(SMALL, substream(0, 0))
