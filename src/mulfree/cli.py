@@ -179,9 +179,10 @@ def _ini_value(hint, raw: str):
 # --- datasets ---
 
 def load_datasets(cfg: RunConfig):
+    points = cfg.model_config().points_in  # `points`, else synth_points or 1024 by source
     if cfg.source() == "modelnet40":
-        return ingest_modelnet40(cfg.data.split(":", 1)[1], cfg.model_config().points_in, cfg.seed)
-    splits = synth_shapes(cfg.synth_per_class, cfg.synth_points, cfg.seed)
+        return ingest_modelnet40(cfg.data.split(":", 1)[1], points, cfg.seed)
+    splits = synth_shapes(cfg.synth_per_class, points, cfg.seed)
     if not len(splits[1]):
         raise ConfigError(f"synth_per_class {cfg.synth_per_class} leaves the test split empty")
     return splits

@@ -36,7 +36,7 @@ def quantize_shift(w_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Returns (s, p, w_q) with s in {-1, +1}, integer p in [-15, 0] and
     w_q = s * 2**p exactly. Zeros map to the smallest magnitude (s=+1,
     p=-15) because the 5-bit code has no zero. log2 magnitudes round half
-    away from zero.
+    away from zero. A NaN weight gives NaN in w_q and (+1, -15) in (s, p).
     """
     w = np.asarray(w_raw)
     clamped = np.clip(w, -1.0, 1.0)
@@ -47,7 +47,7 @@ def quantize_shift(w_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # lg <= 0 after the clamp, so half-away-from-zero is -floor(0.5 - lg)
     p = np.where(mag > 0.0, -np.floor(0.5 - lg), -15.0)
     p = np.clip(p, -15.0, 0.0)
-    w_q = (s * np.exp2(p)).astype(w.dtype, copy=False)
+    w_q = np.where(np.isnan(w), np.nan, s * np.exp2(p)).astype(w.dtype, copy=False)
     return s.astype(np.int8), p.astype(np.int8), w_q
 
 

@@ -3,9 +3,11 @@
 A shift weight is one sign bit plus a 4-bit shift magnitude |p| in [0, 15]
 (code = sign_bit << 4 | |p|); codes are packed five bits per weight with
 no padding, little-endian within bytes. Activations use Q16.16: a signed
-32-bit integer interpreted as value / 2**16. The affine kernel accumulates
-exactly left-shifted terms in 64 bits and right-shifts once at the end,
-saturating to the representable range.
+32-bit integer interpreted as value / 2**16. The affine kernel treats each
+weight as the exact integer s * 2**(15 + p), sums the exact products in 64
+bits as one integer matrix product, and right-shifts once at the end,
+saturating to the representable range. A shift-only device gets the same
+integer sum by adding or subtracting x << (15 + p) for each weight.
 """
 
 from __future__ import annotations
@@ -121,13 +123,15 @@ def fixed_shift_affine(x_fixed: np.ndarray, s: np.ndarray, p: np.ndarray
                        ) -> tuple[np.ndarray, int]:
     """Integer shift-affine: out[.., o] ~ sum_i s[o,i] * x_fixed[.., i] * 2**p[o,i].
 
-    Each term is an exact left shift, x << (15 - |p|), accumulated in int64
-    at 2**-31 resolution; one final arithmetic right shift by 15 normalizes
-    back to Q16.16, so the shift truncation costs at most a single ulp per
-    output (per-term right shifts would accumulate up to one ulp per input
-    channel). The final shift rounds toward -inf on negative sums; the
-    result saturates to the Q16.16 range. Intermediate overflow is
-    impossible for any Q16.16 input at fan-in up to 2**15. Returns
+    Each weight becomes the exact integer w = s * 2**(15 + p), a signed power
+    of two up to 2**15, so each term x * w (a left shift of x by 15 + p) is
+    exact at 2**-31 resolution. The terms are summed in int64 as one matrix
+    product, exact in any order: a term is at most 2**31 * 2**15 = 2**46, so
+    no partial sum can overflow at fan-in up to 2**15. One final arithmetic
+    right shift by 15 normalizes back to Q16.16, so the truncation costs at
+    most a single ulp per output (per-term right shifts would accumulate up
+    to one ulp per input channel). The final shift rounds toward -inf on
+    negative sums; the result saturates to the Q16.16 range. Returns
     (out, number of saturated outputs).
     """
     x_fixed = np.asarray(x_fixed)
@@ -136,14 +140,8 @@ def fixed_shift_affine(x_fixed: np.ndarray, s: np.ndarray, p: np.ndarray
     if s.ndim != 2 or s.shape != p.shape or x_fixed.shape[-1] != s.shape[1]:
         raise EncodingError(f"fixed_shift_affine: input {x_fixed.shape} vs codes {s.shape}")
     rows = x_fixed.reshape(-1, s.shape[1]).astype(np.int64, copy=False)
-    lshift = 15 + p.astype(np.int64)  # in [0, 15]
-    sw = s.astype(np.int64)
-    acc = np.zeros((rows.shape[0], s.shape[0]), np.int64)
-    for k in range(16):
-        mask = lshift == k
-        if mask.any():
-            acc += (rows << k) @ (sw * mask).T
-    acc >>= 15
+    w = s.astype(np.int64) << (15 + p.astype(np.int64))  # in [-2**15, 2**15]
+    acc = (rows @ w.T) >> 15
     overflow = int(np.count_nonzero((acc < Q16_MIN) | (acc > Q16_MAX)))
     out = np.clip(acc, Q16_MIN, Q16_MAX).astype(np.int32)
     return out.reshape(x_fixed.shape[:-1] + (s.shape[0],)), overflow

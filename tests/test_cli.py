@@ -49,6 +49,20 @@ class TestConfigIni:
         for cfg in (tiny_cfg(embed_widths=(4, 4, 8, 8), augment=False), every):
             assert config_from_ini(config_to_ini(cfg)) == cfg
 
+    def test_points_sets_the_synthetic_cloud_size(self):
+        train_ds, test_ds, _ = load_datasets(RunConfig(synth_per_class=4, points=96,
+                                                       synth_points=64))
+        assert train_ds.points.shape[1] == test_ds.points.shape[1] == 96
+        train_ds, _, _ = load_datasets(RunConfig(synth_per_class=4, synth_points=64))
+        assert train_ds.points.shape[1] == 64
+
+    def test_knn_k_above_synth_points_trains_on_points_sized_clouds(self, tmp_path):
+        ini = tmp_path / "k65.ini"
+        ini.write_text(config_to_ini(tiny_cfg(knn_k=65, points=96, synth_per_class=4, epochs=1,
+                                              embed_widths=(4, 4, 8, 8),
+                                              encoder_widths=(8, 8), head_widths=(8,))))
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
+
     def test_defaults_match_training_parameters(self):
         cfg = RunConfig()
         assert cfg.batch_size == 32 and cfg.seed == 7
@@ -294,6 +308,16 @@ class TestDiagnostics:
         assert main(["grad-report", "--ckpt", str(tmp_path / "nan.bin"), "--batches", "1"]) == 1
         err = capsys.readouterr().err
         assert "non-finite loss at batch 0; first offending layer: encoder2" in err
+
+    def test_grad_report_on_nan_shift_weight_names_the_layer(self, tmp_path, capsys):
+        # a NaN master weight must reach the loss check, not quantize to 2^-15
+        cfg = tiny_cfg()
+        model = build_model(cfg.model_config(), substream(0, 0))
+        dict(model.stages)["encoder1"].w.data[0, 0] = np.nan
+        save_checkpoint(tmp_path / "nan.bin", model, config_to_ini(cfg))
+        assert main(["grad-report", "--ckpt", str(tmp_path / "nan.bin"), "--batches", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite loss at batch 0; first offending layer: encoder1" in err
 
     def test_diagnose_names_first_bad_layer(self):
         model = build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8, 8),

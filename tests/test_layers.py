@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,16 @@ class TestQuantizeShift:
         np.testing.assert_array_equal(s, s2)
         np.testing.assert_array_equal(p, p2)
         np.testing.assert_array_equal(wq, wq2)
+
+    def test_nan_weight_reaches_w_q_without_warning(self):
+        w = np.array([np.nan, 0.5, -3.0], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, p, wq = quantize_shift(w)
+        assert np.isnan(wq[0]) and wq.dtype == np.float32
+        np.testing.assert_array_equal(wq[1:], [0.5, -1.0])
+        np.testing.assert_array_equal(s, [1, 1, -1])
+        np.testing.assert_array_equal(p, [-15, -1, 0])
 
     @settings(deadline=None, max_examples=50)
     @given(arrays(np.float32, (8,), elements=st.floats(-4, 4, width=32)))

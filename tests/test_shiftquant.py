@@ -8,12 +8,33 @@ from hypothesis import strategies as st
 from mulfree.errors import EncodingError, FixedPointRangeError
 from mulfree.framing import frame
 from mulfree.layers import quantize_shift
-from mulfree.shiftquant import (codes_from_sign_exp, fixed_shift_affine,
-                                from_fixed, pack_bits, pack_weights,
-                                read_packed, shift_affine_fixed,
+from mulfree.shiftquant import (Q16_MAX, Q16_MIN, codes_from_sign_exp,
+                                fixed_shift_affine, from_fixed, pack_bits,
+                                pack_weights, read_packed, shift_affine_fixed,
                                 sign_exp_from_codes, to_fixed, unpack_bits,
                                 unpack_weights, write_packed)
 from mulfree.tensor import affine_map, make_rng
+
+# every shift-layer (c_in, c_out) of the desk and default presets
+PRESET_SHIFT_SHAPES = [(6, 8), (8, 8), (8, 16), (16, 32), (35, 32), (35, 64),
+                       (6, 64), (64, 64), (64, 128), (128, 256), (259, 512), (515, 1024)]
+
+
+def fixed_shift_affine_loop(x_fixed, s, p):
+    """The per-exponent kernel: one int64 product per occupied shift k over
+    the input shifted left by k; the single-product kernel must match it bit
+    for bit, saturation count included."""
+    rows = np.asarray(x_fixed).reshape(-1, s.shape[1]).astype(np.int64)
+    lshift = 15 + p.astype(np.int64)
+    sw = s.astype(np.int64)
+    acc = np.zeros((rows.shape[0], s.shape[0]), np.int64)
+    for k in range(16):
+        mask = lshift == k
+        if mask.any():
+            acc += (rows << k) @ (sw * mask).T
+    acc >>= 15
+    overflow = int(np.count_nonzero((acc < Q16_MIN) | (acc > Q16_MAX)))
+    return np.clip(acc, Q16_MIN, Q16_MAX).astype(np.int32), overflow
 
 
 class TestCodes:
@@ -179,3 +200,19 @@ class TestFixedShiftAffine:
     def test_shape_mismatch(self):
         with pytest.raises(EncodingError):
             fixed_shift_affine(np.zeros(3, np.int32), np.ones((2, 4)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("inputs", ["normal", "full_range"])
+    @pytest.mark.parametrize("ci,co", PRESET_SHIFT_SHAPES)
+    def test_bit_identical_to_per_exponent_loop(self, ci, co, inputs):
+        rng = make_rng(ci * 10007 + co)
+        s = rng.choice(np.array([-1, 1], np.int8), (co, ci))
+        p = rng.integers(-15, 1, (co, ci)).astype(np.int8)  # all 16 shifts
+        if inputs == "normal":
+            x = to_fixed(rng.normal(0.0, 3.0, (32, ci)))
+        else:  # the whole Q16.16 range, so many outputs saturate
+            x = rng.integers(Q16_MIN, Q16_MAX, (32, ci), endpoint=True).astype(np.int32)
+        y, ovf = fixed_shift_affine(x, s, p)
+        y_ref, ovf_ref = fixed_shift_affine_loop(x, s, p)
+        assert y.dtype == np.int32 and np.array_equal(y, y_ref)
+        assert ovf == ovf_ref
+        assert (ovf > 0) == (inputs == "full_range")
