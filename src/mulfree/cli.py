@@ -24,10 +24,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import shiftquant
+from . import shiftquant, tensor
 from .data import PointDataset, augment, ingest_modelnet40, subsample_density, synth_shapes
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
-from .framing import frame, unframe
+from .framing import unframe, write_framed
 from .layers import AdderLinear, ShiftLinear
 from .models import ModelConfig, build_model, knn_group
 from .optim import build_optimizers, modulate_gradient, route_parameters
@@ -194,19 +194,17 @@ _DTYPES = [np.dtype("float32"), np.dtype("float64"), np.dtype("int64"), np.dtype
 
 
 def save_checkpoint(path, model, config_text: str) -> None:
+    """Streams the tensors' own bytes to the file: no copy of the model is made."""
     cfg_bytes = config_text.encode()
-    body = bytearray(struct.pack("<HI", 1, len(cfg_bytes)))
-    body += cfg_bytes
     items = model.state_items()
-    body += struct.pack("<I", len(items))
+    parts = [struct.pack("<HI", 1, len(cfg_bytes)), cfg_bytes, struct.pack("<I", len(items))]
     for name, arr in items:
         arr = np.ascontiguousarray(arr)
         name_b = name.encode()
-        body += struct.pack("<H", len(name_b)) + name_b
-        body += struct.pack("<BB", _DTYPES.index(arr.dtype), arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += arr.tobytes()
-    Path(path).write_bytes(frame(CKPT_MAGIC, body))
+        parts += [struct.pack("<H", len(name_b)) + name_b,
+                  struct.pack("<BB", _DTYPES.index(arr.dtype), arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), memoryview(arr).cast("B")]
+    write_framed(path, CKPT_MAGIC, parts)
 
 
 def _unpack(fmt: str, body: bytes, off: int, path) -> tuple:
@@ -289,7 +287,8 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
 
 
 def _grad_rms(g: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.asarray(g, dtype=np.float64) ** 2)))
+    sq = np.square(g, out=tensor.empty(np.shape(g), np.float64), dtype=np.float64)
+    return float(np.sqrt(np.mean(sq)))
 
 
 def _write(out, name: str, text: str) -> None:
@@ -631,6 +630,8 @@ def main(argv=None) -> int:
     except (MulfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        tensor.POOL.trim()  # the command's arrays are gone; so is their memory
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CacheError, DegenerateCloudError, DimensionError, MeshError, MulfreeError
 from .framing import frame, unframe
-from .tensor import substream
+from .tensor import cast, empty, substream
 
 CACHE_MAGIC = b"SAPC"
 CACHE_VERSION = 1
@@ -106,6 +106,8 @@ def parse_off(text: str) -> MeshOff:
                 faces.append((poly[0], poly[i], poly[i + 1]))
     except (ValueError, IndexError) as exc:
         raise MeshError(f"malformed OFF data: {exc}") from exc
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("vertex coordinate is not finite")
     faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= nv):
         raise MeshError(f"face index outside [0, {nv})")
@@ -127,8 +129,11 @@ def sample_mesh(mesh: MeshOff, n: int, rng: np.random.Generator) -> np.ndarray:
     a = mesh.vertices[mesh.faces[:, 0]]
     b = mesh.vertices[mesh.faces[:, 1]]
     c = mesh.vertices[mesh.faces[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    total = areas.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        total = areas.sum()
+    if not np.isfinite(total):
+        raise MeshError("mesh surface area is not finite")
     if total <= 0.0:
         raise MeshError("mesh surface area is zero")
     tri = rng.choice(len(areas), size=n, p=areas / total)
@@ -174,7 +179,9 @@ def augment(points: np.ndarray, rng: np.random.Generator,
     lead = points.shape[:-2] + (1, 3)
     scale = rng.uniform(scale_range[0], scale_range[1], size=lead)
     offset = rng.uniform(-shift, shift, size=lead)
-    return (points * scale + offset).astype(points.dtype)
+    out = np.multiply(points, scale, out=empty(points.shape, np.result_type(points, scale)))
+    out += offset
+    return cast(out, points.dtype)
 
 
 # --- synthetic desk-scale dataset ---

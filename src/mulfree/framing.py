@@ -12,6 +12,17 @@ def frame(magic: bytes, body: bytes) -> bytes:
     return b"".join((magic, body, struct.pack("<I", zlib.crc32(body))))  # one copy of body
 
 
+def write_framed(path, magic: bytes, parts) -> None:
+    """Write frame(magic, b"".join(parts)) to path without joining the parts."""
+    crc = 0
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
+
+
 def unframe(blob: bytes, magic: bytes, error: type, what: str, min_body: int = 0) -> bytes:
     """The body of a framed blob, at least min_body bytes long; anything else
     raises error(f"{what}: ...")."""

@@ -2,9 +2,20 @@
 
 Three linear families with their gradient rules (multiplication baseline,
 power-of-two shift, L1 adder), plus batch normalization, ReLU, max pooling
-and coordinate concatenation. A layer stores its forward context on the
-instance; backward consumes it and fills ``Param.grad``. Calling backward
-twice without a fresh forward raises ContextError.
+and coordinate concatenation. A train-mode forward stores the layer's
+context on the instance; backward consumes it and fills ``Param.grad``. An
+eval-mode forward stores none and drops a pending one, so an evaluation
+leaves no arrays behind in the layers. Calling backward without a fresh
+train-mode forward raises ContextError.
+
+Pool lifetime rule: every array a layer makes that can reach
+tensor.BLOCK_BYTES, except a parameter gradient (model state, which stays
+with malloc), comes from the block pool (`tensor.empty`, `tensor.cast`)
+and is written with `out=`. Its memory is reused once the last array or
+view on it dies, so a layer's output and context stay reserved for as long
+as something holds them and no longer. No stage may read an element of a
+pooled array before writing it: the memory comes back holding whatever the
+previous step or stage left there.
 """
 
 from __future__ import annotations
@@ -13,6 +24,11 @@ import numpy as np
 
 from . import shiftquant, tensor
 from .errors import ContextError, DegenerateBatchError, DimensionError
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b into a pooled array."""
+    return np.matmul(a, b, out=tensor.empty((a.shape[0], b.shape[1]), np.result_type(a, b)))
 
 
 class Param:
@@ -100,7 +116,7 @@ class MulLinear(Layer):
 
     def forward(self, x, train: bool = True):
         y = tensor.affine_map(x, self.w.data, None if self.b is None else self.b.data)
-        self._ctx = x
+        self._ctx = x if train else None
         return y
 
     def backward(self, dy, need_input_grad: bool = True):
@@ -112,7 +128,7 @@ class MulLinear(Layer):
             self.b.grad = tensor.column_sum(dyf)
         if not need_input_grad:
             return None
-        return (dyf @ self.w.data).reshape(x.shape)
+        return _matmul(dyf, self.w.data).reshape(x.shape)
 
 
 class ShiftLinear(Layer):
@@ -143,7 +159,7 @@ class ShiftLinear(Layer):
 
     def forward(self, x, train: bool = True):
         w_q = self.quantize()
-        self._ctx = (x, w_q)
+        self._ctx = (x, w_q) if train else None
         return tensor.affine_map(x, w_q)
 
     def forward_fixed(self, x):
@@ -161,7 +177,7 @@ class ShiftLinear(Layer):
         self.w.grad = dyf.T @ xf  # straight-through: d(w_q)/d(w) taken as 1
         if not need_input_grad:
             return None
-        return (dyf @ w_q).reshape(x.shape)
+        return _matmul(dyf, w_q).reshape(x.shape)
 
 
 class AdderLinear(Layer):
@@ -171,8 +187,9 @@ class AdderLinear(Layer):
     difference (x - w) while the input path clips it to [-1, 1] so that
     gradients accumulated through deep stacks stay bounded.
 
-    The input gradient runs in transposed blocks. The caller preallocates
-    flat scratch `xt` and `tt` of x.size elements and makes dyT, the
+    The input gradient runs in transposed blocks. The caller takes flat
+    scratch `xt` and `tt` of x.size elements, the two rows of one pooled
+    array, and makes dyT, the
     contiguous [c_out, rows] transpose of dy, once. The worker for rows
     [a, b) views element range [c_in*a, c_in*b) of `xt` and `tt` as
     contiguous [c_in, b-a] blocks and uses its own output rows dx[a:b],
@@ -204,14 +221,14 @@ class AdderLinear(Layer):
 
     def forward(self, x, train: bool = True):
         y = tensor.pairwise_l1_neg(x, self.w.data)
-        self._ctx = x
+        self._ctx = x if train else None
         return y
 
     def backward(self, dy, need_input_grad: bool = True):
         x = self._take_ctx()
         dt = np.result_type(x.dtype, dy.dtype)
-        xf = x.reshape(-1, self.c_in).astype(dt, copy=False)
-        dyf = dy.reshape(-1, self.c_out).astype(dt, copy=False)
+        xf = tensor.cast(x.reshape(-1, self.c_in), dt)
+        dyf = tensor.cast(dy.reshape(-1, self.c_out), dt)
         w = self.w.data.astype(dt, copy=False)
         # dW[o,i] = sum_r dy[r,o] * (x[r,i] - w[o,i]) splits into two dense terms
         self.w.grad = dyf.T @ xf - tensor.column_sum(dyf)[:, None] * w
@@ -221,10 +238,10 @@ class AdderLinear(Layer):
         # channel over each channel tile of a transposed row block, so every
         # element sees the same operations in the same order
         c_in = self.c_in
-        dx = np.empty(xf.shape, dt)
-        xt = np.empty(xf.size, dt)
-        tt = np.empty(xf.size, dt)
-        dyt = np.ascontiguousarray(dyf.T)
+        dx = tensor.empty(xf.shape, dt)
+        xt, tt = tensor.empty((2, xf.size), dt)
+        dyt = tensor.empty((self.c_out, xf.shape[0]), dt)
+        np.copyto(dyt, dyf.T)
 
         def rows(a, b):
             n = b - a
@@ -289,8 +306,8 @@ class BatchNorm(Layer):
                 raise DegenerateBatchError(f"{self.name}: variance undefined over {m} row(s)")
             # column sums and divides, in the order of mean(axis=0), var(axis=0)
             mean = np.true_divide(tensor.column_sum(xf), m)
-            xc = xf - mean
-            sq = np.multiply(xc, xc)
+            xc = np.subtract(xf, mean, out=tensor.empty(xf.shape, xf.dtype))
+            sq = np.multiply(xc, xc, out=tensor.empty(xf.shape, xf.dtype))
             var = np.true_divide(tensor.column_sum(sq), m)
             inv = 1.0 / np.sqrt(var + self.eps)
             xhat = np.multiply(xc, inv, out=xc)
@@ -304,7 +321,8 @@ class BatchNorm(Layer):
         else:
             # gamma * ((x - mean) * inv) + beta in one buffer; a single
             # multiply by gamma commutes, so the bits are the same
-            y = xf - self.running_mean
+            y = np.subtract(xf, self.running_mean,
+                            out=tensor.empty(xf.shape, np.result_type(xf, self.running_mean)))
             y *= 1.0 / np.sqrt(self.running_var + self.eps)
             y *= self.gamma.data
             y += self.beta.data
@@ -314,14 +332,15 @@ class BatchNorm(Layer):
         xhat, inv = self._take_ctx()
         dyf = dy.reshape(-1, self.channels)
         m = dyf.shape[0]
-        t = np.multiply(dyf, xhat)
+        t = np.multiply(dyf, xhat, out=tensor.empty(dyf.shape, np.result_type(dyf, xhat)))
         self.gamma.grad = tensor.column_sum(t)
         self.beta.grad = tensor.column_sum(dyf)
         if not need_input_grad:
             return None
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, in that
         # order, in two scratch arrays: dxhat and t
-        dxhat = np.multiply(dyf, self.gamma.data.astype(dyf.dtype, copy=False))
+        dxhat = np.multiply(dyf, self.gamma.data.astype(dyf.dtype, copy=False),
+                            out=tensor.empty(dyf.shape, dyf.dtype))
         proj = np.true_divide(tensor.column_sum(np.multiply(dxhat, xhat, out=t)), m)
         dxhat -= np.true_divide(tensor.column_sum(dxhat), m)
         dxhat -= np.multiply(xhat, proj, out=t)
@@ -333,12 +352,12 @@ class ReLU(Layer):
     name = "relu"
 
     def forward(self, x, train: bool = True):
-        self._ctx = x > 0
-        return np.maximum(x, 0)
+        self._ctx = np.greater(x, 0, out=tensor.empty(x.shape, bool)) if train else None
+        return np.maximum(x, 0, out=tensor.empty(x.shape, x.dtype))
 
     def backward(self, dy, need_input_grad: bool = True):
         mask = self._take_ctx()
-        return dy * mask
+        return np.multiply(dy, mask, out=tensor.empty(dy.shape, dy.dtype))
 
 
 class MaxPool(Layer):
@@ -349,13 +368,14 @@ class MaxPool(Layer):
     def forward(self, x, train: bool = True):
         flat = x.reshape(-1, x.shape[-2], x.shape[-1])
         pooled, arg = tensor.global_max_pool(flat)
-        self._ctx = (arg, flat.shape)
+        self._ctx = (arg, flat.shape) if train else None
         return pooled.reshape(x.shape[:-2] + (x.shape[-1],))
 
     def backward(self, dy, need_input_grad: bool = True):
         arg, shape = self._take_ctx()
         dyf = dy.reshape(-1, shape[-1])
-        dx = np.zeros(shape, dy.dtype)
+        dx = tensor.empty(shape, dy.dtype)
+        dx.fill(0)
         np.put_along_axis(dx, arg[:, None, :], dyf[:, None, :], axis=1)
         return dx.reshape(dy.shape[:-1] + shape[-2:])
 
@@ -366,4 +386,5 @@ def concat_coords(features: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points)
     if features.shape[:-1] != points.shape[:-1] or points.shape[-1] != 3:
         raise DimensionError(f"concat_coords: features {features.shape} vs points {points.shape}")
-    return np.concatenate([features, points.astype(features.dtype, copy=False)], axis=-1)
+    out = tensor.empty(features.shape[:-1] + (features.shape[-1] + 3,), features.dtype)
+    return np.concatenate([features, points.astype(features.dtype, copy=False)], axis=-1, out=out)

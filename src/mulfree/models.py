@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import tensor
 from .errors import ConfigError, DimensionError
 from .layers import (AdderLinear, BatchNorm, Layer, MaxPool, MulLinear, ReLU,
                      ShiftLinear, concat_coords)
@@ -79,6 +80,10 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     The tree sums the same float64 squares in the same order, so its window
     holds the m nearest; only a tie at the window's edge can hide a
     neighbor, and then the window doubles (m == n always ends it).
+
+    The batch's float64 copy, the result and each cloud's candidate
+    offsets and distances come from the block pool; scipy's query and
+    numpy's lexsort allocate their own results.
     """
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 3 or points.shape[-1] != 3:
@@ -87,20 +92,27 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise DimensionError(f"knn_group: k={k} outside [1, {n}]")
     rows = np.arange(n)[:, None]
-    out = np.empty((b, n, k), np.int64)
-    for c, cloud in enumerate(points.astype(np.float64)):
+    out = tensor.empty((b, n, k), np.int64)
+    for c, cloud in enumerate(tensor.cast(points, np.float64)):
         tree, m = cKDTree(cloud), min(n, k + 2)
         while True:
             cand = tree.query(cloud, m)[1].reshape(n, m)
-            diff = cloud[cand] - cloud[:, None, :]
-            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+            diff = np.take(cloud, cand, axis=0, out=tensor.empty((n, m, 3), np.float64),
+                           mode="clip")
+            diff -= cloud[:, None, :]
+            # the squares summed in the order (x + y) + z
+            d2 = np.square(diff[..., 0], out=tensor.empty((n, m), np.float64))
+            sq = np.square(diff[..., 1], out=tensor.empty((n, m), np.float64))
+            d2 += sq
+            d2 += np.square(diff[..., 2], out=sq)
             d2[cand == rows] = -1.0  # below any real distance, so self ranks first
             order = np.lexsort((cand, d2))
-            ranked = np.take_along_axis(d2, order, axis=-1)
-            if m == n or np.all(ranked[:, k - 1] < ranked[:, -1]):
+            edge = np.take_along_axis(d2, order[:, [k - 1, -1]], axis=-1)
+            if m == n or np.all(edge[:, 0] < edge[:, 1]):
                 break
             m = min(n, 2 * m)
-        out[c] = np.take_along_axis(cand, order[:, :k], axis=-1)
+        flat = np.add(order[:, :k], rows * m, out=tensor.empty((n, k), np.int64))
+        np.take(cand, flat, out=out[c], mode="clip")
     return out
 
 
@@ -206,10 +218,15 @@ class PointCloudClassifier:
             raise DimensionError(f"forward expects [batch, points, 3], got {points.shape}")
         # neighbor_idx lets callers reuse grouping when the geometry is unchanged
         idx = knn_group(points, self.cfg.knn_k) if neighbor_idx is None else neighbor_idx
-        batch_ix = np.arange(points.shape[0])[:, None, None]
-        neigh = points[batch_ix, idx]  # [b, n, k, 3]
+        b, n = points.shape[:2]
+        flat = np.add(idx, np.arange(0, b * n, n)[:, None, None],
+                      out=tensor.empty(idx.shape, np.intp))
+        neigh = np.take(points.reshape(-1, 3), flat, axis=0,
+                        out=tensor.empty(idx.shape + (3,), points.dtype), mode="clip")
         center = points[:, :, None, :]
-        x = np.concatenate([neigh - center, np.broadcast_to(center, neigh.shape)], axis=-1)
+        x = tensor.empty(idx.shape + (6,), points.dtype)  # [b, n, k, offset | center]
+        np.subtract(neigh, center, out=x[..., :3])
+        x[..., 3:] = center
         self.coords.points = points
         for name, layer in self.stages:
             if fixed_shift and not train and isinstance(layer, ShiftLinear):

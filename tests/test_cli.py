@@ -17,6 +17,7 @@ from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
                          config_to_ini, evaluate, load_checkpoint, load_datasets,
                          main, save_checkpoint)
 from mulfree.errors import CacheError, ConfigError
+from mulfree.framing import frame
 from mulfree.models import ModelConfig, build_model
 from mulfree.shiftquant import read_packed
 from mulfree.tensor import substream
@@ -336,6 +337,25 @@ class TestDiagnostics:
         with pytest.raises(CacheError):
             load_checkpoint(bad)
 
+    def test_checkpoint_file_is_the_framed_body(self, tmp_path):
+        """save_checkpoint streams its parts; the file is frame() of the body
+        joined in memory, the way checkpoints were written before."""
+        model = build_model(ModelConfig(variant="sa", embed_widths=(4, 4, 8, 8),
+                                        encoder_widths=(8, 8), head_widths=(8,),
+                                        num_classes=4, knn_k=2, points_in=32),
+                            substream(0, 0))
+        text = config_to_ini(tiny_cfg(variant="sa"))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model, text)
+        items = model.state_items()
+        body = struct.pack("<HI", 1, len(text.encode())) + text.encode()
+        body += struct.pack("<I", len(items))
+        for name, arr in items:
+            body += struct.pack("<H", len(name)) + name.encode()
+            body += struct.pack("<BB", cli._DTYPES.index(arr.dtype), arr.ndim)
+            body += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+        assert path.read_bytes() == frame(cli.CKPT_MAGIC, body)
+
     @staticmethod
     def resealed(tmp_path, edit):
         """A small checkpoint whose body `edit` rewrites, with a fresh CRC."""
@@ -490,6 +510,25 @@ class TestMainEntry:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bad.off" in err and "face index outside [0, 4)" in err
+
+    @pytest.mark.parametrize("vertex, message", [
+        ("1 nan 0", "vertex coordinate is not finite"),
+        ("1 inf 0", "vertex coordinate is not finite"),
+        ("1e200 1e200 0", "mesh surface area is not finite"),
+    ])
+    def test_non_finite_off_file_exits_with_message(self, tmp_path, capsys, vertex, message):
+        from test_data import QUAD_OFF
+        for split in ("train", "test"):
+            d = tmp_path / "meshes" / "slab" / split
+            d.mkdir(parents=True)
+            (d / "good.off").write_text(QUAD_OFF)
+        bad = tmp_path / "meshes" / "slab" / "train" / "bad.off"
+        bad.write_text(QUAD_OFF.replace("1 1 0", vertex))
+        rc = main(["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--epochs", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),

@@ -56,6 +56,11 @@ class TestOffReader:
         with pytest.raises(MeshError):
             parse_off(TRI_OFF.replace("3 0 1 2", "3 0 1 9"))
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_vertex(self, coord):
+        with pytest.raises(MeshError, match="not finite"):
+            parse_off(TRI_OFF.replace("1 0 0", f"1 {coord} 0"))
+
     def test_missing_header(self):
         with pytest.raises(MeshError):
             parse_off("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -106,6 +111,11 @@ class TestSampleMesh:
 
     def test_n_one(self):
         assert sample_mesh(parse_off(TRI_OFF), 1, make_rng(3)).shape == (1, 3)
+
+    def test_overflowing_area(self):
+        mesh = parse_off(TRI_OFF.replace("1 0 0", "1e200 0 0").replace("0 1 0", "0 1e200 0"))
+        with pytest.raises(MeshError, match="not finite"):
+            sample_mesh(mesh, 10, make_rng(0))
 
     def test_degenerate_mesh(self):
         mesh = MeshOff(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 2]]))

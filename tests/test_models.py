@@ -1,11 +1,17 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mulfree import tensor
+from mulfree.cli import SYNTH_MODEL, backprop_batch
 from mulfree.errors import ConfigError, DimensionError
 from mulfree.layers import MulLinear
 from mulfree.models import (ModelConfig, build_model, knn_group,
                             layer_kind_sequence)
-from mulfree.tensor import make_rng, softmax_cross_entropy, substream
+from mulfree.optim import build_optimizers, route_parameters
+from mulfree.tensor import BlockPool, make_rng, softmax_cross_entropy, substream
 
 SMALL = dict(embed_widths=(4, 4, 8, 8), encoder_widths=(8, 16),
              head_widths=(8,), num_classes=4, knn_k=3, points_in=32)
@@ -240,3 +246,68 @@ class TestState:
         m2 = small("sa")
         m2.load_state({k: v.copy() for k, v in m.state_items()})
         np.testing.assert_array_equal(m2.forward(pts, train=False), want)
+
+
+def desk_model(variant):
+    model = build_model(replace(SYNTH_MODEL, variant=variant), substream(7, 0))
+    return model, desk_optimizers(model)
+
+
+def desk_optimizers(model):
+    return build_optimizers(route_parameters(model), (1e-3, 1e-6), (2e-2, 2e-3), 0.2, 3)
+
+
+def desk_batch(rng, b):
+    """Train clouds, their labels and eval clouds of one desk step."""
+    return unit_cloud(rng, b, 256), rng.integers(0, 4, b), unit_cloud(rng, b, 256)
+
+
+def train_step_and_eval(model, opts, pts, labels, eval_pts):
+    _, logits = backprop_batch(model, pts, labels, {}, "test step")
+    for opt, _ in opts:
+        opt.step(1e-3)
+    return logits, model.forward(eval_pts, train=False)
+
+
+class NaNPool(BlockPool):
+    """Hands out every array filled with NaN bytes, so a read before a write shows."""
+
+    def empty(self, shape, dtype):
+        arr = super().empty(shape, dtype)
+        arr.view(np.uint8).fill(0xFF)
+        return arr
+
+
+class TestPoolMemory:
+    @pytest.mark.parametrize("variant", ["mul", "shift", "add", "sa"])
+    def test_step_reads_no_stale_pool_memory(self, variant, monkeypatch):
+        """A train step and an eval forward at batch 32, then 7, then 32, on a
+        pool that fills every array it hands out with NaN bytes, give the
+        logits, gradients and stepped weights, bit for bit, of a deep copy
+        stepped on a plain empty pool. A stage that reads an element before
+        writing it (MaxPool.backward without its zero fill) fails here."""
+        model, opts = desk_model(variant)
+        twin = copy.deepcopy(model)
+        twin_opts = desk_optimizers(twin)
+        rng = make_rng(11)
+        for b in (32, 7, 32):
+            batch = desk_batch(rng, b)
+            monkeypatch.setattr(tensor, "POOL", NaNPool())
+            got = train_step_and_eval(model, opts, *batch)
+            monkeypatch.setattr(tensor, "POOL", BlockPool())
+            want = train_step_and_eval(twin, twin_opts, *batch)
+            for g, w in zip(got, want):
+                assert np.all(np.isfinite(g)) and g.tobytes() == w.tobytes()
+            for p, q in zip(model.parameters(), twin.parameters()):
+                assert p.grad.tobytes() == q.grad.tobytes(), p.name
+                assert p.data.tobytes() == q.data.tobytes(), p.name
+
+    def test_repeated_desk_step_takes_no_fresh_block(self, monkeypatch):
+        pool = BlockPool()
+        monkeypatch.setattr(tensor, "POOL", pool)
+        model, opts = desk_model("sa")
+        rng = make_rng(12)
+        train_step_and_eval(model, opts, *desk_batch(rng, 32))
+        warm = pool.misses
+        train_step_and_eval(model, opts, *desk_batch(rng, 32))
+        assert warm > 0 and pool.misses == warm

@@ -1,6 +1,8 @@
 import math
 import os
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mulfree.errors import DimensionError, EmptyInputError, LabelError
-from mulfree.tensor import (affine_map, column_sum, global_max_pool, make_rng, over_rows,
-                            pairwise_l1_neg, softmax_cross_entropy, substream)
+from mulfree.tensor import (BLOCK_BYTES, BlockPool, affine_map, column_sum, global_max_pool,
+                            make_rng, over_rows, pairwise_l1_neg, softmax_cross_entropy,
+                            substream)
 
 from gradcheck import assert_grad_close, central_diff
 
@@ -164,6 +167,95 @@ class TestOverRows:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+BLOCK_FLOATS = BLOCK_BYTES // 4  # a float32 array of BLOCK_BYTES, the smallest pooled
+
+
+class TestBlockPool:
+    def test_freed_block_is_reused_for_a_request_of_the_same_size(self):
+        pool = BlockPool()
+        a = pool.empty((64, BLOCK_FLOATS // 64), np.float32)
+        addr = a.ctypes.data
+        del a
+        b = pool.empty(BLOCK_FLOATS // 2, np.float64)  # the same bytes, another shape and dtype
+        assert b.ctypes.data == addr and pool.misses == 1
+
+    @pytest.mark.parametrize("cut", [lambda a: a[5:], lambda a: a.T, lambda a: a[1:][:, ::3]],
+                             ids=["slice", "transpose", "view-of-view"])
+    def test_view_keeps_its_block_reserved(self, cut):
+        pool = BlockPool()
+        a = pool.empty((256, 256), np.float32)
+        a.fill(1.0)
+        view = cut(a)
+        del a  # the view outlives the array it was cut from
+        b = pool.empty((256, 256), np.float32)
+        b.fill(2.0)
+        assert not np.shares_memory(b, view) and pool.misses == 2
+        assert np.all(view == 1.0)
+        del view, b
+        pool.empty((256, 256), np.float32)
+        assert pool.misses == 2  # both blocks are free again
+
+    def test_freed_neighbours_serve_a_larger_request(self):
+        pool = BlockPool()
+        a = pool.empty(BLOCK_FLOATS, np.float32)
+        b = pool.empty(BLOCK_FLOATS, np.float32)
+        top = pool.empty(BLOCK_FLOATS, np.float32)
+        lo = a.ctypes.data
+        del a, b
+        c = pool.empty(2 * BLOCK_FLOATS, np.float32)
+        assert c.ctypes.data == lo and pool.misses == 3
+
+    def test_small_arrays_come_from_malloc(self):
+        pool = BlockPool()
+        a = pool.empty(BLOCK_FLOATS - 1, np.float32)
+        assert a.flags.owndata and pool.misses == 0 and pool.regions == []
+
+    def test_trim_gives_back_only_regions_without_live_blocks(self):
+        pool = BlockPool()
+        a = pool.empty(BLOCK_FLOATS, np.float32)
+        pool.trim()
+        assert pool.touched == [BLOCK_BYTES]
+        del a
+        pool.trim()
+        assert pool.touched == [0] and pool.free == [[]]
+        b = pool.empty(BLOCK_FLOATS, np.float32)
+        assert pool.misses == 2 and not b.any()  # the OS hands the pages back zeroed
+
+    def test_request_over_a_region_gets_a_region_of_its_own(self):
+        pool = BlockPool(region_bytes=4 * BLOCK_BYTES)
+        small = pool.empty(3 * BLOCK_FLOATS, np.float32)
+        big = pool.empty(5 * BLOCK_FLOATS, np.float32)
+        more = pool.empty(BLOCK_FLOATS, np.float32)
+        assert len(pool.regions) == 2 and len(pool.regions[1]) == 5 * BLOCK_BYTES
+        assert pool.touched == [4 * BLOCK_BYTES, 5 * BLOCK_BYTES]
+        assert not np.shares_memory(small, more) and not np.shares_memory(big, more)
+
+    def test_blocks_released_on_many_threads_all_come_back(self):
+        """Eight threads drop the last references to blocks while the main
+        thread takes and frees others; a lost release would leave a range
+        live, and trim would keep its region."""
+        pool = BlockPool()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                batches = [[pool.empty(BLOCK_FLOATS + 16 * (i + j), np.float32)
+                            for j in range(4)] for i in range(8)]
+                threads = [threading.Thread(target=batch.clear) for batch in batches]
+                del batches
+                for t in threads:
+                    t.start()
+                churn = [pool.empty(BLOCK_FLOATS * (1 + k % 3), np.float32) for k in range(6)]
+                del churn
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        pool.trim()
+        assert pool.touched == [0]
+
+
 class TestColumnSum:
     # row-major with 8 columns (the narrowest batch norm), one column,
     # column-major and strided views, and an empty batch
@@ -203,6 +295,20 @@ class TestGlobalMaxPool:
         a, _ = global_max_pool(x)
         b, _ = global_max_pool(x[:, perm, :])
         np.testing.assert_array_equal(a, b)
+
+    def test_bit_identical_to_argmax_over_the_point_axis(self):
+        """The reference is numpy's argmax over axis 1 and take_along_axis.
+        Ties, signed zeros and NaNs all pick the first point."""
+        rng = make_rng(9)
+        x = rng.integers(-2, 3, (6, 40, 9)).astype(np.float32)
+        x[x == 0] = np.where(rng.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+        x[0, 7, 3] = x[0, 20, 3] = np.nan
+        for view in (x, x[:, ::2], x.transpose(0, 2, 1)[:, :5].transpose(0, 2, 1)):
+            pooled, arg = global_max_pool(view)
+            want_arg = np.argmax(view, axis=1)
+            want = np.take_along_axis(view, want_arg[:, None, :], axis=1)[:, 0, :]
+            assert np.array_equal(arg, want_arg)
+            assert pooled.tobytes() == want.tobytes()
 
     def test_empty_points_error(self):
         with pytest.raises(EmptyInputError):
