@@ -267,6 +267,7 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
 
     knn_cache memoizes neighbor indices per batch offset; valid only while
     the dataset object is unchanged (the per-epoch eval inside training).
+    It outlives the step, so it holds malloc copies, never pooled blocks.
     """
     correct, total = np.zeros((2, len(ds.class_names)), np.int64)
     for start in range(0, len(ds), batch_size):
@@ -276,7 +277,7 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
         if knn_cache is not None:
             idx = knn_cache.get(start)
             if idx is None:
-                idx = knn_cache[start] = knn_group(pts, model.cfg.knn_k)
+                idx = knn_cache[start] = np.array(knn_group(pts, model.cfg.knn_k))
         pred = np.argmax(model.forward(pts, train=False, neighbor_idx=idx), axis=1)
         total += np.bincount(labels, minlength=len(total))
         correct += np.bincount(labels[pred == labels], minlength=len(total))

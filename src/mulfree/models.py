@@ -212,13 +212,23 @@ class PointCloudClassifier:
                 fixed_shift: bool = False, neighbor_idx: np.ndarray | None = None,
                 observe=None) -> np.ndarray:
         """Logits [b, classes]. fixed_shift runs eval-mode shift layers through the
-        Q16.16 kernel; observe(name, output) is called after every stage."""
+        Q16.16 kernel; observe(name, output) is called after every stage.
+        neighbor_idx, [batch, points, k] point indices within each cloud (as
+        from knn_group), reuses a grouping when the geometry is unchanged."""
         points = np.asarray(points)
         if points.ndim != 3 or points.shape[-1] != 3:
             raise DimensionError(f"forward expects [batch, points, 3], got {points.shape}")
-        # neighbor_idx lets callers reuse grouping when the geometry is unchanged
-        idx = knn_group(points, self.cfg.knn_k) if neighbor_idx is None else neighbor_idx
         b, n = points.shape[:2]
+        if neighbor_idx is None:
+            idx = knn_group(points, self.cfg.knn_k)
+        else:
+            idx = np.asarray(neighbor_idx)
+            # the gather below reads by flat index, so an index outside its
+            # cloud would silently read another cloud's points
+            if (idx.ndim != 3 or idx.shape[:2] != (b, n) or idx.size == 0
+                    or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+                raise DimensionError(f"neighbor_idx must be [{b}, {n}, k >= 1] integer "
+                                     f"indices in [0, {n}), got {idx.dtype} {idx.shape}")
         flat = np.add(idx, np.arange(0, b * n, n)[:, None, None],
                       out=tensor.empty(idx.shape, np.intp))
         neigh = np.take(points.reshape(-1, 3), flat, axis=0,

@@ -127,8 +127,7 @@ class BlockPool:
     `empty`, called from one thread at a time, files the queue first.
     """
 
-    def __init__(self, region_bytes: int = REGION_BYTES):
-        self.region_bytes = region_bytes
+    def __init__(self):
         self.regions: list[mmap.mmap] = []
         self.touched: list[int] = []  # per region: the OS has faulted in [0, touched)
         self.free: list[list[tuple[int, int]]] = []  # per region: sorted (offset, size)
@@ -182,7 +181,7 @@ class BlockPool:
                     self.touched[r] = start + size
                 return r, start
         self.misses += 1
-        self.regions.append(mmap.mmap(-1, max(self.region_bytes, size),
+        self.regions.append(mmap.mmap(-1, max(REGION_BYTES, size),
                                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         self.touched.append(size)
         self.free.append([])

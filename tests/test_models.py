@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mulfree import tensor
-from mulfree.cli import SYNTH_MODEL, backprop_batch
+from mulfree.cli import SYNTH_MODEL, backprop_batch, evaluate
+from mulfree.data import PointDataset
 from mulfree.errors import ConfigError, DimensionError
 from mulfree.layers import MulLinear
 from mulfree.models import (ModelConfig, build_model, knn_group,
@@ -194,6 +195,30 @@ class TestForward:
         with pytest.raises(DimensionError):
             small("mul").forward(np.zeros((2, 32, 2), np.float32))
 
+    def test_supplied_neighbor_idx_matches_grouping(self):
+        pts = unit_cloud(make_rng(8))
+        m = small("sa")
+        idx = knn_group(pts, SMALL["knn_k"])
+        np.testing.assert_array_equal(m.forward(pts, neighbor_idx=idx), m.forward(pts))
+
+    @pytest.mark.parametrize("edit", [lambda i: i.__setitem__((0, 5, 1), 32),
+                                      lambda i: i.__setitem__((1, 0, 2), -1)],
+                             ids=["past-the-cloud", "negative"])
+    def test_neighbor_idx_outside_its_cloud(self, edit):
+        """The gather reads by flat index over the batch, so an unchecked index
+        >= points would read the next cloud and a negative one the previous."""
+        pts = unit_cloud(make_rng(9))
+        idx = knn_group(pts, SMALL["knn_k"])
+        edit(idx)
+        with pytest.raises(DimensionError, match="neighbor_idx"):
+            small("sa").forward(pts, neighbor_idx=idx)
+
+    @pytest.mark.parametrize("shape", [(1, 32, 3), (2, 16, 3), (2, 32), (2, 32, 0)])
+    def test_neighbor_idx_of_wrong_shape(self, shape):
+        with pytest.raises(DimensionError, match="neighbor_idx"):
+            small("sa").forward(unit_cloud(make_rng(10)),
+                                neighbor_idx=np.zeros(shape, np.int64))
+
 
 class TestFixedShiftInference:
     def test_logits_match_float_within_fixed_point_tolerance(self):
@@ -311,3 +336,18 @@ class TestPoolMemory:
         warm = pool.misses
         train_step_and_eval(model, opts, *desk_batch(rng, 32))
         assert warm > 0 and pool.misses == warm
+
+    def test_eval_knn_cache_holds_no_pooled_block(self, monkeypatch):
+        """The per-epoch eval's neighbour cache lives for the whole run; a
+        pooled block in it would pin memory among the step's blocks."""
+        pool = BlockPool()
+        monkeypatch.setattr(tensor, "POOL", pool)
+        model, _ = desk_model("sa")
+        pts, labels, _ = desk_batch(make_rng(13), 64)
+        ds = PointDataset(pts, labels, ["a", "b", "c", "d"])
+        cache = {}
+        acc, _ = evaluate(model, ds, 32, cache)
+        assert pool.misses > 0 and len(cache) == 2  # a desk batch's grouping is pooled
+        pool.trim()
+        assert pool.touched == [0]  # so no block outlived the evaluation
+        assert evaluate(model, ds, 32, cache)[0] == evaluate(model, ds, 32)[0] == acc

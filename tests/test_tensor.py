@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mulfree.errors import DimensionError, EmptyInputError, LabelError
-from mulfree.tensor import (BLOCK_BYTES, BlockPool, affine_map, column_sum, global_max_pool,
-                            make_rng, over_rows, pairwise_l1_neg, softmax_cross_entropy,
-                            substream)
+from mulfree.tensor import (BLOCK_BYTES, REGION_BYTES, BlockPool, affine_map, column_sum,
+                            global_max_pool, make_rng, over_rows, pairwise_l1_neg,
+                            softmax_cross_entropy, substream)
 
 from gradcheck import assert_grad_close, central_diff
 
@@ -222,12 +222,12 @@ class TestBlockPool:
         assert pool.misses == 2 and not b.any()  # the OS hands the pages back zeroed
 
     def test_request_over_a_region_gets_a_region_of_its_own(self):
-        pool = BlockPool(region_bytes=4 * BLOCK_BYTES)
+        pool = BlockPool()  # a region is address space: empty writes nothing to it
         small = pool.empty(3 * BLOCK_FLOATS, np.float32)
-        big = pool.empty(5 * BLOCK_FLOATS, np.float32)
+        big = pool.empty((REGION_BYTES + BLOCK_BYTES) // 4, np.float32)
         more = pool.empty(BLOCK_FLOATS, np.float32)
-        assert len(pool.regions) == 2 and len(pool.regions[1]) == 5 * BLOCK_BYTES
-        assert pool.touched == [4 * BLOCK_BYTES, 5 * BLOCK_BYTES]
+        assert len(pool.regions) == 2 and len(pool.regions[1]) == REGION_BYTES + BLOCK_BYTES
+        assert pool.touched == [4 * BLOCK_BYTES, REGION_BYTES + BLOCK_BYTES]
         assert not np.shares_memory(small, more) and not np.shares_memory(big, more)
 
     def test_blocks_released_on_many_threads_all_come_back(self):
