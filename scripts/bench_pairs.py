@@ -11,7 +11,9 @@ ends. The summary is one Markdown table row in the layout of CHANGES.md:
 per end-to-end metric of the change's BENCHMARK.json, the parent's and the
 change's median [q1, q3], the change in per cent, and the pairs the change
 won (ties count for neither side, and a pair where either side crashed
-counts against the change); then each side's correctness. `--json PATH`
+counts against the change); then each side's correctness. Each run's
+minor page faults (those of the run's whole process tree) are printed with
+it and kept in the row as a side record, not as a metric. `--json PATH`
 also writes that row as JSON (see `summary_json`). A gain meets
 the benchmark's rule when at least 10 pairs ran, the change won at least
 nine tenths of them, and the medians differ by more than the parent's
@@ -22,22 +24,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run in `checkout`; its final JSON line, or None if it failed."""
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict | None, int]:
+    """One benchmark run in `checkout`: its final JSON line, or None if it
+    failed, and the minor page faults of the run and every process it waited for."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        return None
-    return json.loads(lines[-1])
+        return None, faults
+    return json.loads(lines[-1]), faults
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -109,14 +116,17 @@ def values(runs: list[dict | None], name: str) -> list[float | None]:
 
 
 def summary_json(bench: dict, workload: str, seeds: list[int],
-                 runs: dict[str, list[dict | None]]) -> dict:
+                 runs: dict[str, list[dict | None]], faults: dict[str, list[int]]) -> dict:
     """The summary row as data: `compare` per end-to-end metric (null when no
-    pair is complete), the seeds in pair order and each side's correctness."""
+    pair is complete), the seeds in pair order, each side's correctness and
+    each side's minor faults per run in pair order, with their median."""
     return {"workload": workload, "pairs": len(seeds), "seeds": seeds,
             "metrics": {m["name"]: compare(m["better"], values(runs["parent"], m["name"]),
                                            values(runs["change"], m["name"]))
                         for m in bench["end_to_end"]},
-            "correctness": {side: correctness(runs[side]) for side in ("parent", "change")}}
+            "correctness": {side: correctness(runs[side]) for side in ("parent", "change")},
+            "minor_faults": {side: {"runs": faults[side], "median": statistics.median(faults[side])}
+                             for side in ("parent", "change")}}
 
 
 def main(argv=None) -> int:
@@ -137,19 +147,21 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict | None]] = {"parent": [], "change": []}
+    faults: dict[str, list[int]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run_once(sides[side], args.workload, seed, seconds)
+            res, flt = run_once(sides[side], args.workload, seed, seconds)
             runs[side].append(res)
+            faults[side].append(flt)
             shown = "crashed" if res is None else " ".join(
                 f"{k}={fmt(v['value'])}" for k, v in res["metrics"].items())
             ok = "" if res is None else f" correct={res['correct']} failed={res['failed']}"
-            print(f"pair {i} seed {seed} {side}: {shown}{ok}", flush=True)
+            print(f"pair {i} seed {seed} {side}: {shown}{ok} minor_faults={flt}", flush=True)
 
     row = summary_json(bench, args.workload,
-                       list(range(args.seed0, args.seed0 + args.pairs)), runs)
+                       list(range(args.seed0, args.seed0 + args.pairs)), runs, faults)
     names = [m["name"] for m in bench["end_to_end"]]
     seeds = f"seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
     print()
@@ -158,7 +170,8 @@ def main(argv=None) -> int:
     print(f"| {args.workload} | {args.pairs}, {seeds} | "
           + " | ".join(fmt_compare(row["metrics"][n]) for n in names) + " |")
     for side in ("parent", "change"):
-        print(f"{side}: {fmt_correctness(row['correctness'][side])}")
+        print(f"{side}: {fmt_correctness(row['correctness'][side])}, "
+              f"median {row['minor_faults'][side]['median']:g} minor faults per run")
     if args.json:
         args.json.write_text(json.dumps(row, indent=1) + "\n")
     return 0

@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import shiftquant, tensor
+from . import shiftquant
 from .data import PointDataset, augment, ingest_modelnet40, subsample_density, synth_shapes
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import unframe, write_framed
@@ -267,7 +267,6 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
 
     knn_cache memoizes neighbor indices per batch offset; valid only while
     the dataset object is unchanged (the per-epoch eval inside training).
-    It outlives the step, so it holds malloc copies, never pooled blocks.
     """
     correct, total = np.zeros((2, len(ds.class_names)), np.int64)
     for start in range(0, len(ds), batch_size):
@@ -277,7 +276,7 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
         if knn_cache is not None:
             idx = knn_cache.get(start)
             if idx is None:
-                idx = knn_cache[start] = np.array(knn_group(pts, model.cfg.knn_k))
+                idx = knn_cache[start] = knn_group(pts, model.cfg.knn_k)
         pred = np.argmax(model.forward(pts, train=False, neighbor_idx=idx), axis=1)
         total += np.bincount(labels, minlength=len(total))
         correct += np.bincount(labels[pred == labels], minlength=len(total))
@@ -288,8 +287,7 @@ def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = 
 
 
 def _grad_rms(g: np.ndarray) -> float:
-    sq = np.square(g, out=tensor.empty(np.shape(g), np.float64), dtype=np.float64)
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.mean(np.asarray(g, np.float64) ** 2)))
 
 
 def _write(out, name: str, text: str) -> None:
@@ -631,8 +629,6 @@ def main(argv=None) -> int:
     except (MulfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        tensor.POOL.trim()  # the command's arrays are gone; so is their memory
     return 0
 
 

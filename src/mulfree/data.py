@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CacheError, DegenerateCloudError, DimensionError, MeshError, MulfreeError
 from .framing import frame, unframe
-from .tensor import cast, empty, substream
+from .tensor import substream
 
 CACHE_MAGIC = b"SAPC"
 CACHE_VERSION = 1
@@ -179,9 +179,7 @@ def augment(points: np.ndarray, rng: np.random.Generator,
     lead = points.shape[:-2] + (1, 3)
     scale = rng.uniform(scale_range[0], scale_range[1], size=lead)
     offset = rng.uniform(-shift, shift, size=lead)
-    out = np.multiply(points, scale, out=empty(points.shape, np.result_type(points, scale)))
-    out += offset
-    return cast(out, points.dtype)
+    return (points * scale + offset).astype(points.dtype)
 
 
 # --- synthetic desk-scale dataset ---

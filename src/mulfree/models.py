@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import tensor
 from .errors import ConfigError, DimensionError
 from .layers import (AdderLinear, BatchNorm, Layer, MaxPool, MulLinear, ReLU,
                      ShiftLinear, concat_coords)
@@ -80,10 +79,6 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     The tree sums the same float64 squares in the same order, so its window
     holds the m nearest; only a tie at the window's edge can hide a
     neighbor, and then the window doubles (m == n always ends it).
-
-    The batch's float64 copy, the result and each cloud's candidate
-    offsets and distances come from the block pool; scipy's query and
-    numpy's lexsort allocate their own results.
     """
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 3 or points.shape[-1] != 3:
@@ -92,17 +87,16 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise DimensionError(f"knn_group: k={k} outside [1, {n}]")
     rows = np.arange(n)[:, None]
-    out = tensor.empty((b, n, k), np.int64)
-    for c, cloud in enumerate(tensor.cast(points, np.float64)):
+    out = np.empty((b, n, k), np.int64)
+    for c, cloud in enumerate(points.astype(np.float64)):
         tree, m = cKDTree(cloud), min(n, k + 2)
         while True:
             cand = tree.query(cloud, m)[1].reshape(n, m)
-            diff = np.take(cloud, cand, axis=0, out=tensor.empty((n, m, 3), np.float64),
-                           mode="clip")
+            diff = np.take(cloud, cand, axis=0, mode="clip")
             diff -= cloud[:, None, :]
             # the squares summed in the order (x + y) + z
-            d2 = np.square(diff[..., 0], out=tensor.empty((n, m), np.float64))
-            sq = np.square(diff[..., 1], out=tensor.empty((n, m), np.float64))
+            d2 = np.square(diff[..., 0])
+            sq = np.square(diff[..., 1])
             d2 += sq
             d2 += np.square(diff[..., 2], out=sq)
             d2[cand == rows] = -1.0  # below any real distance, so self ranks first
@@ -111,8 +105,7 @@ def knn_group(points: np.ndarray, k: int) -> np.ndarray:
             if m == n or np.all(edge[:, 0] < edge[:, 1]):
                 break
             m = min(n, 2 * m)
-        flat = np.add(order[:, :k], rows * m, out=tensor.empty((n, k), np.int64))
-        np.take(cand, flat, out=out[c], mode="clip")
+        np.take(cand, order[:, :k] + rows * m, out=out[c], mode="clip")
     return out
 
 
@@ -229,12 +222,10 @@ class PointCloudClassifier:
                     or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
                 raise DimensionError(f"neighbor_idx must be [{b}, {n}, k >= 1] integer "
                                      f"indices in [0, {n}), got {idx.dtype} {idx.shape}")
-        flat = np.add(idx, np.arange(0, b * n, n)[:, None, None],
-                      out=tensor.empty(idx.shape, np.intp))
-        neigh = np.take(points.reshape(-1, 3), flat, axis=0,
-                        out=tensor.empty(idx.shape + (3,), points.dtype), mode="clip")
+        neigh = np.take(points.reshape(-1, 3), idx + np.arange(0, b * n, n)[:, None, None],
+                        axis=0, mode="clip")
         center = points[:, :, None, :]
-        x = tensor.empty(idx.shape + (6,), points.dtype)  # [b, n, k, offset | center]
+        x = np.empty(idx.shape + (6,), points.dtype)  # [b, n, k, offset | center]
         np.subtract(neigh, center, out=x[..., :3])
         x[..., 3:] = center
         self.coords.points = points

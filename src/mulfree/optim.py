@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import cast, empty
 
 log = logging.getLogger(__name__)
 
@@ -35,19 +34,17 @@ def modulate_gradient(g: np.ndarray, eta: float) -> np.ndarray:
     An all-zero gradient returns zeros (no update) and logs the event.
     """
     g = np.asarray(g)
-    nrm = float(np.linalg.norm(cast(g, np.float64)))
+    nrm = float(np.linalg.norm(g.astype(np.float64, copy=False)))
     if nrm == 0.0:
         log.warning("modulate_gradient: zero-norm gradient, skipping update")
         return np.zeros_like(g)
     scale = eta * math.sqrt(g.size) / nrm
-    return cast(np.multiply(g, scale, out=empty(g.shape, np.result_type(g, scale))), g.dtype)
+    return (g * scale).astype(g.dtype, copy=False)
 
 
 def modulated_sgd_step(w: np.ndarray, g: np.ndarray, lr: float, eta: float) -> np.ndarray:
     """w' = w - lr * modulate_gradient(g, eta); no momentum, no weight decay."""
-    step = modulate_gradient(g, eta)
-    step *= lr
-    return (w - step).astype(w.dtype, copy=False)
+    return (w - lr * modulate_gradient(g, eta)).astype(w.dtype, copy=False)
 
 
 @dataclass
@@ -94,10 +91,10 @@ def route_parameters(model) -> dict[str, list]:
 class AdaptiveMoment:
     """Bias-corrected moment update with (m, v, step count) kept per parameter.
 
-    m and v are updated in place and the step's scratch comes from the
-    block pool; the new weights are a fresh array, like every parameter, so
-    that model state never splits the pool's free memory. Each operation
-    keeps the order and dtype of w - lr * mhat / (sqrt(vhat) + eps).
+    m and v are updated in place, with two scratch arrays of w's shape per
+    step; the new weights are a fresh array, so an array that still holds
+    the old weights keeps them. Each operation keeps the order and dtype of
+    w - lr * mhat / (sqrt(vhat) + eps).
     """
 
     kind = "adaptive_moment"
@@ -116,14 +113,14 @@ class AdaptiveMoment:
             g = p.grad.astype(w.dtype, copy=False)
             m, v, t = self.moments[p.name]
             t += 1
-            s = empty(w.shape, w.dtype)
+            s = np.empty(w.shape, w.dtype)
             m *= beta1
             m += np.multiply(g, 1.0 - beta1, out=s)
             v *= beta2
             v += np.multiply(np.multiply(g, 1.0 - beta2, out=s), g, out=s)
             step = np.divide(m, 1.0 - beta1 ** t, out=s)  # mhat
             step *= lr
-            den = np.divide(v, 1.0 - beta2 ** t, out=empty(w.shape, w.dtype))  # vhat
+            den = np.divide(v, 1.0 - beta2 ** t, out=np.empty(w.shape, w.dtype))  # vhat
             np.sqrt(den, out=den)
             den += eps
             step /= den

@@ -634,7 +634,8 @@ class TestScripts:
 
         runs = {"parent": [run(100.0, 1.0), run(102.0, 1.0), run(98.0, 1.2)],
                 "change": [run(110.0, 0.9), None, run(99.0, 1.3, correct=False, failed=1)]}
-        row = bench_pairs.summary_json(bench, "desk-train", [5, 6, 7], runs)
+        faults = {"parent": [900, 700, 800], "change": [40, 12, 30]}
+        row = bench_pairs.summary_json(bench, "desk-train", [5, 6, 7], runs, faults)
         row = json.loads(json.dumps(row, allow_nan=False))  # plain JSON, no NaN
         assert (row["workload"], row["pairs"], row["seeds"]) == ("desk-train", 3, [5, 6, 7])
         cps = row["metrics"]["clouds_per_s"]
@@ -646,8 +647,14 @@ class TestScripts:
         assert row["correctness"] == {
             "parent": {"runs": 3, "correct": 3, "crashed": 0, "failed": 0, "attempted": 12},
             "change": {"runs": 3, "correct": 1, "crashed": 1, "failed": 1, "attempted": 8}}
-        assert bench_pairs.summary_json(bench, "x", [1], {"parent": [None], "change": [None]})[
-            "metrics"] == {"clouds_per_s": None, "setup_s": None}
+        # a side record per run in pair order, crashed runs included; not a metric
+        assert row["minor_faults"] == {"parent": {"runs": [900, 700, 800], "median": 800},
+                                       "change": {"runs": [40, 12, 30], "median": 30}}
+        assert "minor_faults" not in row["metrics"]
+        crashed = bench_pairs.summary_json(bench, "x", [1], {"parent": [None], "change": [None]},
+                                           {"parent": [5], "change": [6]})
+        assert crashed["metrics"] == {"clouds_per_s": None, "setup_s": None}
+        assert crashed["minor_faults"]["change"] == {"runs": [6], "median": 6}
 
     @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
     def test_stops_at_the_first_failed_command(self, tmp_path, script):

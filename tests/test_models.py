@@ -1,10 +1,14 @@
 import copy
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mulfree import tensor
 from mulfree.cli import SYNTH_MODEL, backprop_batch, evaluate
 from mulfree.data import PointDataset
 from mulfree.errors import ConfigError, DimensionError
@@ -12,7 +16,7 @@ from mulfree.layers import MulLinear
 from mulfree.models import (ModelConfig, build_model, knn_group,
                             layer_kind_sequence)
 from mulfree.optim import build_optimizers, route_parameters
-from mulfree.tensor import BlockPool, make_rng, softmax_cross_entropy, substream
+from mulfree.tensor import make_rng, softmax_cross_entropy, substream
 
 SMALL = dict(embed_widths=(4, 4, 8, 8), encoder_widths=(8, 16),
              head_widths=(8,), num_classes=4, knn_k=3, points_in=32)
@@ -294,32 +298,52 @@ def train_step_and_eval(model, opts, pts, labels, eval_pts):
     return logits, model.forward(eval_pts, train=False)
 
 
-class NaNPool(BlockPool):
-    """Hands out every array filled with NaN bytes, so a read before a write shows."""
-
-    def empty(self, shape, dtype):
-        arr = super().empty(shape, dtype)
-        arr.view(np.uint8).fill(0xFF)
-        return arr
+_EMPTY = np.empty
 
 
-class TestPoolMemory:
+def nan_empty(*args, **kwargs):
+    """np.empty, filled with NaN bytes, so a read before a write shows."""
+    arr = _EMPTY(*args, **kwargs)
+    arr.ravel(order="A").view(np.uint8).fill(0xFF)
+    return arr
+
+
+# A fresh interpreter that never calls cli.main: a desk `sa` train step and a
+# batch-32 eval forward, twice to warm up, then once more, printing the minor
+# faults of the last one.
+_FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from test_models import desk_batch, desk_model, train_step_and_eval
+from mulfree.tensor import make_rng
+model, opts = desk_model("sa")
+rng = make_rng(12)
+batches = [desk_batch(rng, 32) for _ in range(3)]
+for batch in batches[:2]:
+    train_step_and_eval(model, opts, *batch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_step_and_eval(model, opts, *batches[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestStepMemory:
     @pytest.mark.parametrize("variant", ["mul", "shift", "add", "sa"])
-    def test_step_reads_no_stale_pool_memory(self, variant, monkeypatch):
-        """A train step and an eval forward at batch 32, then 7, then 32, on a
-        pool that fills every array it hands out with NaN bytes, give the
-        logits, gradients and stepped weights, bit for bit, of a deep copy
-        stepped on a plain empty pool. A stage that reads an element before
-        writing it (MaxPool.backward without its zero fill) fails here."""
+    def test_step_reads_no_stale_memory(self, variant, monkeypatch):
+        """A train step and an eval forward at batch 32, then 7, then 32, with
+        every np.empty array filled with NaN bytes, give the logits,
+        gradients and stepped weights, bit for bit, of a deep copy stepped
+        with plain np.empty. A stage that reads an element before writing it
+        (MaxPool.backward with np.empty for np.zeros) fails here."""
         model, opts = desk_model(variant)
         twin = copy.deepcopy(model)
         twin_opts = desk_optimizers(twin)
         rng = make_rng(11)
         for b in (32, 7, 32):
             batch = desk_batch(rng, b)
-            monkeypatch.setattr(tensor, "POOL", NaNPool())
-            got = train_step_and_eval(model, opts, *batch)
-            monkeypatch.setattr(tensor, "POOL", BlockPool())
+            with monkeypatch.context() as m:
+                m.setattr(np, "empty", nan_empty)
+                got = train_step_and_eval(model, opts, *batch)
             want = train_step_and_eval(twin, twin_opts, *batch)
             for g, w in zip(got, want):
                 assert np.all(np.isfinite(g)) and g.tobytes() == w.tobytes()
@@ -327,27 +351,24 @@ class TestPoolMemory:
                 assert p.grad.tobytes() == q.grad.tobytes(), p.name
                 assert p.data.tobytes() == q.data.tobytes(), p.name
 
-    def test_repeated_desk_step_takes_no_fresh_block(self, monkeypatch):
-        pool = BlockPool()
-        monkeypatch.setattr(tensor, "POOL", pool)
-        model, opts = desk_model("sa")
-        rng = make_rng(12)
-        train_step_and_eval(model, opts, *desk_batch(rng, 32))
-        warm = pool.misses
-        train_step_and_eval(model, opts, *desk_batch(rng, 32))
-        assert warm > 0 and pool.misses == warm
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc setting is glibc's")
+    def test_repeated_desk_step_faults_in_no_fresh_pages(self):
+        """Importing mulfree.tensor is enough to make a repeated step reuse
+        malloc's memory: without the setting the step below took thousands
+        of minor faults."""
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(tests.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tests)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 64
 
-    def test_eval_knn_cache_holds_no_pooled_block(self, monkeypatch):
-        """The per-epoch eval's neighbour cache lives for the whole run; a
-        pooled block in it would pin memory among the step's blocks."""
-        pool = BlockPool()
-        monkeypatch.setattr(tensor, "POOL", pool)
+    def test_cached_eval_grouping_gives_the_uncached_accuracy(self):
         model, _ = desk_model("sa")
         pts, labels, _ = desk_batch(make_rng(13), 64)
         ds = PointDataset(pts, labels, ["a", "b", "c", "d"])
         cache = {}
         acc, _ = evaluate(model, ds, 32, cache)
-        assert pool.misses > 0 and len(cache) == 2  # a desk batch's grouping is pooled
-        pool.trim()
-        assert pool.touched == [0]  # so no block outlived the evaluation
+        assert len(cache) == 2
         assert evaluate(model, ds, 32, cache)[0] == evaluate(model, ds, 32)[0] == acc

@@ -1,8 +1,9 @@
+import ctypes
 import math
 import os
+import platform
 import signal
-import sys
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from mulfree import tensor
 from mulfree.errors import DimensionError, EmptyInputError, LabelError
-from mulfree.tensor import (BLOCK_BYTES, REGION_BYTES, BlockPool, affine_map, column_sum,
-                            global_max_pool, make_rng, over_rows, pairwise_l1_neg,
-                            softmax_cross_entropy, substream)
+from mulfree.tensor import (affine_map, column_sum, global_max_pool, make_rng, over_rows,
+                            pairwise_l1_neg, softmax_cross_entropy, substream)
 
 from gradcheck import assert_grad_close, central_diff
 
@@ -167,93 +168,18 @@ class TestOverRows:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-BLOCK_FLOATS = BLOCK_BYTES // 4  # a float32 array of BLOCK_BYTES, the smallest pooled
+class TestMallocSetting:
+    def test_a_refused_setting_raises(self, monkeypatch):
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            mallopt=lambda param, value: 0))
+        with pytest.raises(OSError, match="mallopt"):
+            tensor._keep_freed_memory()
 
-
-class TestBlockPool:
-    def test_freed_block_is_reused_for_a_request_of_the_same_size(self):
-        pool = BlockPool()
-        a = pool.empty((64, BLOCK_FLOATS // 64), np.float32)
-        addr = a.ctypes.data
-        del a
-        b = pool.empty(BLOCK_FLOATS // 2, np.float64)  # the same bytes, another shape and dtype
-        assert b.ctypes.data == addr and pool.misses == 1
-
-    @pytest.mark.parametrize("cut", [lambda a: a[5:], lambda a: a.T, lambda a: a[1:][:, ::3]],
-                             ids=["slice", "transpose", "view-of-view"])
-    def test_view_keeps_its_block_reserved(self, cut):
-        pool = BlockPool()
-        a = pool.empty((256, 256), np.float32)
-        a.fill(1.0)
-        view = cut(a)
-        del a  # the view outlives the array it was cut from
-        b = pool.empty((256, 256), np.float32)
-        b.fill(2.0)
-        assert not np.shares_memory(b, view) and pool.misses == 2
-        assert np.all(view == 1.0)
-        del view, b
-        pool.empty((256, 256), np.float32)
-        assert pool.misses == 2  # both blocks are free again
-
-    def test_freed_neighbours_serve_a_larger_request(self):
-        pool = BlockPool()
-        a = pool.empty(BLOCK_FLOATS, np.float32)
-        b = pool.empty(BLOCK_FLOATS, np.float32)
-        top = pool.empty(BLOCK_FLOATS, np.float32)
-        lo = a.ctypes.data
-        del a, b
-        c = pool.empty(2 * BLOCK_FLOATS, np.float32)
-        assert c.ctypes.data == lo and pool.misses == 3
-
-    def test_small_arrays_come_from_malloc(self):
-        pool = BlockPool()
-        a = pool.empty(BLOCK_FLOATS - 1, np.float32)
-        assert a.flags.owndata and pool.misses == 0 and pool.regions == []
-
-    def test_trim_gives_back_only_regions_without_live_blocks(self):
-        pool = BlockPool()
-        a = pool.empty(BLOCK_FLOATS, np.float32)
-        pool.trim()
-        assert pool.touched == [BLOCK_BYTES]
-        del a
-        pool.trim()
-        assert pool.touched == [0] and pool.free == [[]]
-        b = pool.empty(BLOCK_FLOATS, np.float32)
-        assert pool.misses == 2 and not b.any()  # the OS hands the pages back zeroed
-
-    def test_request_over_a_region_gets_a_region_of_its_own(self):
-        pool = BlockPool()  # a region is address space: empty writes nothing to it
-        small = pool.empty(3 * BLOCK_FLOATS, np.float32)
-        big = pool.empty((REGION_BYTES + BLOCK_BYTES) // 4, np.float32)
-        more = pool.empty(BLOCK_FLOATS, np.float32)
-        assert len(pool.regions) == 2 and len(pool.regions[1]) == REGION_BYTES + BLOCK_BYTES
-        assert pool.touched == [4 * BLOCK_BYTES, REGION_BYTES + BLOCK_BYTES]
-        assert not np.shares_memory(small, more) and not np.shares_memory(big, more)
-
-    def test_blocks_released_on_many_threads_all_come_back(self):
-        """Eight threads drop the last references to blocks while the main
-        thread takes and frees others; a lost release would leave a range
-        live, and trim would keep its region."""
-        pool = BlockPool()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_ in range(20):
-                batches = [[pool.empty(BLOCK_FLOATS + 16 * (i + j), np.float32)
-                            for j in range(4)] for i in range(8)]
-                threads = [threading.Thread(target=batch.clear) for batch in batches]
-                del batches
-                for t in threads:
-                    t.start()
-                churn = [pool.empty(BLOCK_FLOATS * (1 + k % 3), np.float32) for k in range(6)]
-                del churn
-                for t in threads:
-                    t.join(timeout=10)
-                    assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        pool.trim()
-        assert pool.touched == [0]
+    def test_another_libc_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", None)  # calling it would raise
+        tensor._keep_freed_memory()
 
 
 class TestColumnSum:
