@@ -308,23 +308,41 @@ def nan_empty(*args, **kwargs):
     return arr
 
 
-# A fresh interpreter that never calls cli.main: a desk `sa` train step and a
-# batch-32 eval forward, twice to warm up, then once more, printing the minor
-# faults of the last one.
+# A fresh interpreter that never calls cli.main runs a desk step twice to warm
+# up, then once more, and prints the minor faults of the last one. A "step" is
+# a train step plus a batch-32 eval forward (argv[2] "train") or one
+# cli.evaluate of 32 clouds (argv[2] "eval"), on an argv[3] model.
 _FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from test_models import desk_batch, desk_model, train_step_and_eval
+from mulfree.cli import evaluate
+from mulfree.data import PointDataset
 from mulfree.tensor import make_rng
-model, opts = desk_model("sa")
+model, opts = desk_model(sys.argv[3])
 rng = make_rng(12)
 batches = [desk_batch(rng, 32) for _ in range(3)]
+def step(pts, labels, eval_pts):
+    if sys.argv[2] == "eval":
+        evaluate(model, PointDataset(eval_pts, labels, ["a", "b", "c", "d"]), 32)
+    else:
+        train_step_and_eval(model, opts, pts, labels, eval_pts)
 for batch in batches[:2]:
-    train_step_and_eval(model, opts, *batch)
+    step(*batch)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train_step_and_eval(model, opts, *batches[2])
+step(*batches[2])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def probe_faults(what, variant):
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(tests.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tests), what, variant],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 class TestStepMemory:
@@ -356,13 +374,31 @@ class TestStepMemory:
         """Importing mulfree.tensor is enough to make a repeated step reuse
         malloc's memory: without the setting the step below took thousands
         of minor faults."""
-        tests = Path(__file__).resolve().parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(tests.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tests)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 64
+        assert probe_faults("train", "sa") <= 64
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc setting is glibc's")
+    def test_repeated_eval_forward_faults_in_no_fresh_pages(self):
+        """The shift-eval path (cli.evaluate, never cli.main) reuses malloc's
+        memory too; without the setting each batch-32 forward took ~2000."""
+        assert probe_faults("eval", "shift") <= 64
+
+    @pytest.mark.parametrize("variant", ["mul", "shift", "add", "sa"])
+    def test_cached_eval_reads_no_stale_memory(self, variant, monkeypatch):
+        """The per-epoch eval groups each batch once and forwards on the
+        cached indices. With every np.empty array filled with NaN bytes,
+        the grouping and the eval forward on it give the bytes of plain
+        np.empty, for a full batch and a short last one."""
+        model, _ = desk_model(variant)
+        pts = unit_cloud(make_rng(14), 39, 256)
+        for batch in (pts[:32], pts[32:]):
+            with monkeypatch.context() as m:
+                m.setattr(np, "empty", nan_empty)
+                idx = knn_group(batch, model.cfg.knn_k)
+                got = model.forward(batch, train=False, neighbor_idx=idx)
+            assert np.all(np.isfinite(got))
+            assert idx.tobytes() == knn_group(batch, model.cfg.knn_k).tobytes()
+            assert got.tobytes() == model.forward(batch, train=False,
+                                                  neighbor_idx=idx).tobytes()
 
     def test_cached_eval_grouping_gives_the_uncached_accuracy(self):
         model, _ = desk_model("sa")

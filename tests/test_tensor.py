@@ -3,6 +3,8 @@ import math
 import os
 import platform
 import signal
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,7 +170,46 @@ class TestOverRows:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+# A fresh interpreter fills and frees a 3 MiB array, then times the fill of a
+# second one: over malloc's default 128 KiB mmap threshold, so by default the
+# second is mapped or grown anew, and under numpy's 4 MiB huge-page advice, so
+# its faults count 4 KiB pages. argv[1] "1" imports mulfree.tensor first.
+_REUSE_PROBE = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "1":
+    import mulfree.tensor
+np.ones(3 * 2**20 // 8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.ones(3 * 2**20 // 8)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestMallocSetting:
+    def test_glibc_gets_both_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value)) or 1))
+        tensor._keep_freed_memory()
+        assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]  # M_MMAP_, M_TRIM_THRESHOLD
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc setting is glibc's")
+    @pytest.mark.parametrize("imported", [True, False], ids=["mulfree-imported", "numpy-alone"])
+    def test_import_keeps_a_freed_array_for_the_next(self, imported):
+        """Importing mulfree.tensor alone makes malloc hand a freed array's
+        pages to the next one; numpy alone faults all 768 in anew, which
+        shows the probe sees the setting."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _REUSE_PROBE, str(int(imported))],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout)
+        assert faults <= 64 if imported else faults >= 512
+
     def test_a_refused_setting_raises(self, monkeypatch):
         monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
         monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
