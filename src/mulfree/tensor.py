@@ -6,17 +6,23 @@ which the gradient-check suite relies on), and the affine and L1
 reductions always accumulate in float64 regardless of storage dtype so
 that a float32 result is rounded exactly once.
 
-Memory rule: importing this module sets glibc malloc's mmap threshold to
-MMAP_THRESHOLD_BYTES and its trim threshold to TRIM_THRESHOLD_BYTES
-(`_keep_freed_memory`). By default an array of 128 KiB or more is a fresh
-`mmap` and a freed heap top goes back to the OS, so every step would map
-its arrays anew and fault in, zeroed, the pages the step before it freed:
-thousands of minor faults per desk step. With the setting, a step's arrays
-come from malloc's heap, which keeps the memory of the step before, so a
-repeated step faults in no fresh pages. It is made at import, not by the
-CLI, so that every caller of the kernels (tests, benchmarks, the CLI)
-runs with it. The setting changes where memory comes from, never a
-result; on another libc nothing is set and only the fault counts differ.
+Memory rule: importing this module sets glibc malloc to serve every array
+from its heap (`M_MMAP_MAX` 0) and to keep up to TRIM_THRESHOLD_BYTES of
+freed heap (`_keep_freed_memory`). By default an array of 128 KiB or more
+is a fresh `mmap` and a freed heap top goes back to the OS, so every step
+would map its arrays anew and fault in, zeroed, the pages the step before
+it freed: thousands of minor faults per desk step. With the setting, a
+step's arrays reuse the memory of the step before, so a repeated step
+faults in no fresh pages, at desk scale and at paper scale alike (batch
+32, 1024 points, k=16: largest array 256 MiB, peak RSS 1.5-1.6 GB). A
+step that frees more than TRIM_THRESHOLD_BYTES at once gives it all back
+and faults it in again. Raising `M_MMAP_THRESHOLD` instead would have to
+outgrow the largest array, but mallopt(3) gives 32 MiB as that
+threshold's upper limit on 64-bit hosts, and a glibc that holds to it
+refuses more. The setting is made at import, not by the CLI, so that
+every caller of the kernels (tests, benchmarks, the CLI) runs with it. It
+changes where memory comes from, never a result; on another libc nothing
+is set and only the fault counts differ.
 
 Threading rule: the adder kernels (`pairwise_l1_neg` and the input
 gradient of `layers.AdderLinear`) split their input rows into one
@@ -84,9 +90,8 @@ def substream(seed: int, key: int) -> np.random.Generator:
 _WORKERS = len(os.sched_getaffinity(0))
 BLOCK_BYTES = 128 * 1024  # a pairwise_l1_neg row block's float64 input copy and distances
 TILE_BYTES = 512 * 1024  # a channel tile and its two scratch twins fit a 2 MiB L2
-MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024  # over a full-scale step's largest array, 16 MiB
-TRIM_THRESHOLD_BYTES = 256 * 1024 * 1024  # over a full-scale run's ~200 MB peak RSS
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
+TRIM_THRESHOLD_BYTES = 2**31 - 1  # mallopt's largest int; over a paper-scale step's peak
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4  # glibc's <malloc.h>
 
 
 def _new_threads() -> None:
@@ -102,8 +107,7 @@ def _keep_freed_memory() -> None:
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in ((_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
-                         (_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)):
+    for param, value in ((_M_MMAP_MAX, 0), (_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)):
         if mallopt(param, value) == 0:
             raise OSError(f"mallopt({param}, {value}) failed")
 

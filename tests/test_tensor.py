@@ -170,41 +170,47 @@ class TestOverRows:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-# A fresh interpreter fills and frees a 3 MiB array, then times the fill of a
-# second one: over malloc's default 128 KiB mmap threshold, so by default the
-# second is mapped or grown anew, and under numpy's 4 MiB huge-page advice, so
-# its faults count 4 KiB pages. argv[1] "1" imports mulfree.tensor first.
+# A fresh interpreter fills argv[2] arrays of argv[3] MiB at once and frees
+# them, then counts the minor faults of filling as many again. By default an
+# array over malloc's 128 KiB mmap threshold is mapped anew; one under numpy's
+# 4 MiB huge-page advice faults in 4 KiB pages. argv[1] "1" imports
+# mulfree.tensor first.
 _REUSE_PROBE = """
 import resource, sys
 import numpy as np
 if sys.argv[1] == "1":
     import mulfree.tensor
-np.ones(3 * 2**20 // 8)
+count, size = int(sys.argv[2]), int(sys.argv[3]) * 2**20 // 8
+[np.ones(size) for _ in range(count)]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-np.ones(3 * 2**20 // 8)
+[np.ones(size) for _ in range(count)]
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 class TestMallocSetting:
-    def test_glibc_gets_both_thresholds(self, monkeypatch):
+    def test_glibc_gets_both_settings(self, monkeypatch):
         calls = []
         monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
         monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
             mallopt=lambda param, value: calls.append((param, value)) or 1))
         tensor._keep_freed_memory()
-        assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]  # M_MMAP_, M_TRIM_THRESHOLD
+        assert calls == [(-4, 0), (-1, 2**31 - 1)]  # M_MMAP_MAX, M_TRIM_THRESHOLD
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc setting is glibc's")
     @pytest.mark.parametrize("imported", [True, False], ids=["mulfree-imported", "numpy-alone"])
-    def test_import_keeps_a_freed_array_for_the_next(self, imported):
-        """Importing mulfree.tensor alone makes malloc hand a freed array's
-        pages to the next one; numpy alone faults all 768 in anew, which
-        shows the probe sees the setting."""
+    @pytest.mark.parametrize("count,mib", [(1, 3), (5, 64)], ids=["3MiB", "5x64MiB"])
+    def test_import_keeps_a_freed_array_for_the_next(self, imported, count, mib):
+        """Importing mulfree.tensor alone makes malloc hand freed arrays'
+        pages to the next ones; numpy alone faults them in anew, which shows
+        the probe sees the setting. 5x64 MiB has arrays over the 32 MiB
+        mmap threshold limit and frees 320 MiB at once, as a paper-scale
+        step (256 MiB arrays, 1.5 GB) does."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", _REUSE_PROBE, str(int(imported))],
+        proc = subprocess.run([sys.executable, "-c", _REUSE_PROBE, str(int(imported)),
+                               str(count), str(mib)],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         faults = int(proc.stdout)
