@@ -12,17 +12,18 @@ freed heap (`_keep_freed_memory`). By default an array of 128 KiB or more
 is a fresh `mmap` and a freed heap top goes back to the OS, so every step
 would map its arrays anew and fault in, zeroed, the pages the step before
 it freed: thousands of minor faults per desk step. With the setting, a
-step's arrays reuse the memory of the step before, so a repeated step
-faults in no fresh pages, at desk scale and at paper scale alike (batch
-32, 1024 points, k=16: largest array 256 MiB, peak RSS 1.5-1.6 GB). A
-step that frees more than TRIM_THRESHOLD_BYTES at once gives it all back
-and faults it in again. Raising `M_MMAP_THRESHOLD` instead would have to
-outgrow the largest array, but mallopt(3) gives 32 MiB as that
-threshold's upper limit on 64-bit hosts, and a glibc that holds to it
-refuses more. The setting is made at import, not by the CLI, so that
-every caller of the kernels (tests, benchmarks, the CLI) runs with it. It
-changes where memory comes from, never a result; on another libc nothing
-is set and only the fault counts differ.
+step's arrays reuse the memory of the step before: a repeated desk step
+faults in no fresh pages, and a paper-scale one (batch 32, 1024 points,
+k=16: largest array 256 MiB, peak RSS 1.5-1.6 GB) at most some 500, where
+a 32 MiB mmap threshold left it some 33,000. A step that frees more than
+TRIM_THRESHOLD_BYTES at once gives it all back and faults it in again.
+Raising `M_MMAP_THRESHOLD` instead would have to outgrow the largest
+array, but mallopt(3) gives 32 MiB as that threshold's upper limit on
+64-bit hosts, and a glibc that holds to it refuses more. The setting is
+made at import, not by the CLI, so that every caller of the kernels
+(tests, benchmarks, the CLI) runs with it. It changes where memory comes
+from, never a result; on another libc nothing is set and only the fault
+counts differ.
 
 Threading rule: the adder kernels (`pairwise_l1_neg` and the input
 gradient of `layers.AdderLinear`) split their input rows into one
