@@ -81,13 +81,8 @@ def compare(better: str, parent: list[float | None], change: list[float | None])
                                 and sign * (cm - pm) > p3 - p1)}
 
 
-def summarise(name: str, better: str, parent: list[float | None],
-              change: list[float | None]) -> str:
-    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric."""
-    return fmt_compare(compare(better, parent, change))
-
-
 def fmt_compare(s: dict | None) -> str:
+    """`median [q1, q3] -> median [q1, q3], +x.x %, k/n wins` for one metric."""
     if s is None:
         return "no complete pair"
     p, c = s["parent"], s["change"]

@@ -64,7 +64,6 @@ class RunConfig:
     embed_widths: tuple[int, ...] | None = None
     encoder_widths: tuple[int, ...] | None = None
     head_widths: tuple[int, ...] | None = None
-    num_classes: int | None = None
     knn_k: int | None = None
     points: int | None = None
     # optimizer
@@ -73,15 +72,12 @@ class RunConfig:
     lr_modulated_start: float = 2e-2
     lr_modulated_end: float = 2e-3
     eta: float = 0.2
-    cycles: int = 1
-    # synthetic dataset size
+    # data: synthetic clouds per class; the class names, one head output each
     synth_per_class: int = 160
-    synth_points: int = 256
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for key, least in (("batch_size", 1), ("seed", 0), ("epochs", 0),
-                           ("synth_per_class", 1), ("cycles", 1)):
+        for key, least in (("batch_size", 1), ("seed", 0), ("epochs", 0), ("synth_per_class", 1)):
             val = getattr(self, key)
             if val is not None and val < least:
                 raise ConfigError(f"{key} must be >= {least}, got {val}")
@@ -94,10 +90,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.eta is None or not 0 < self.eta < math.inf:
             raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
-        classes = self.model_config().num_classes  # ModelConfig checks the architecture
-        if self.class_names and classes < len(self.class_names):
-            raise ConfigError(f"num_classes {classes} is below the data's "
-                              f"{len(self.class_names)} classes")
+        self.model_config()  # ModelConfig checks the architecture
 
     def source(self) -> str:
         return self.data.split(":", 1)[0]
@@ -108,20 +101,21 @@ class RunConfig:
         return EPOCH_DEFAULTS[self.source()]
 
     def model_config(self) -> ModelConfig:
-        synthetic = self.source() == "synthetic"
-        base = replace(SYNTH_MODEL, points_in=self.synth_points) if synthetic else ModelConfig()
+        base = SYNTH_MODEL if self.source() == "synthetic" else ModelConfig()
         over = {"points_in" if key == "points" else key: getattr(self, key)
                 for key in _SECTIONS["model"] if getattr(self, key) is not None}
+        if self.class_names:
+            over["num_classes"] = len(self.class_names)
         return replace(base, variant=self.variant, **over)
 
 
 # the INI file layout; `out` stays out, so a run's files do not depend on where it ran
 _SECTIONS = {
     "run": ("variant", "data", "epochs", "batch_size", "seed", "augment"),
-    "model": ("embed_widths", "encoder_widths", "head_widths", "num_classes", "knn_k", "points"),
+    "model": ("embed_widths", "encoder_widths", "head_widths", "knn_k", "points"),
     "optim": ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
-              "lr_modulated_end", "eta", "cycles"),
-    "data": ("synth_per_class", "synth_points", "class_names"),
+              "lr_modulated_end", "eta"),
+    "data": ("synth_per_class", "class_names"),
 }
 _HINTS = get_type_hints(RunConfig)
 
@@ -172,14 +166,16 @@ def _ini_value(hint, raw: str):
         item = get_args(hint)[0]
         return tuple(item(v) for v in raw.split(","))
     if hint is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{raw!r} is not a boolean")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     return hint(raw)
 
 
 # --- datasets ---
 
 def load_datasets(cfg: RunConfig):
-    points = cfg.model_config().points_in  # `points`, else synth_points or 1024 by source
+    points = cfg.model_config().points_in  # `points`, else 256 or 1024 by source
     if cfg.source() == "modelnet40":
         return ingest_modelnet40(cfg.data.split(":", 1)[1], points, cfg.seed)
     splits = synth_shapes(cfg.synth_per_class, points, cfg.seed)
@@ -254,9 +250,12 @@ def load_checkpoint(path):
             raise CacheError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
         tensors[name] = arr.copy()
         off += size
-    run_cfg = config_from_ini(config_text)
-    model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))
-    model.load_state(tensors)
+    try:
+        run_cfg = config_from_ini(config_text)
+        model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))
+        model.load_state(tensors)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return model, run_cfg
 
 
@@ -316,8 +315,7 @@ def backprop_batch(model, pts, labels, rms_sums: dict, where: str):
 def cmd_train(cfg: RunConfig) -> Path:
     epochs = cfg.resolved_epochs()
     train_ds, test_ds, _ = load_datasets(cfg)
-    cfg = replace(cfg, class_names=tuple(train_ds.class_names),
-                  num_classes=cfg.num_classes or len(train_ds.class_names))
+    cfg = replace(cfg, class_names=tuple(train_ds.class_names))
     model_cfg = cfg.model_config()
     out_dir = Path(cfg.out or f"runs/{cfg.variant}_{cfg.source()}_s{cfg.seed}")
     config_text = config_to_ini(cfg)
@@ -327,7 +325,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     optimizers = build_optimizers(route_parameters(model),
                                   (cfg.lr_adaptive_start, cfg.lr_adaptive_end),
                                   (cfg.lr_modulated_start, cfg.lr_modulated_end),
-                                  cfg.eta, max(epochs, 1), cfg.cycles)
+                                  cfg.eta, max(epochs, 1))
     shuffle_rng = substream(cfg.seed, 1)
     augment_rng = substream(cfg.seed, 2)
 
@@ -590,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-augment", dest="augment", action="store_false")
     t.add_argument("--config", help="INI file overriding the defaults")
     t.add_argument("--synth-per-class", type=int)
-    t.add_argument("--synth-points", type=int)
+    t.add_argument("--points", type=int)
 
     e = sub.add_parser("eval", help="accuracy report for a checkpoint")
     e.set_defaults(run=cmd_eval)

@@ -169,16 +169,15 @@ def subsample_density(points: np.ndarray, m: int, rng: np.random.Generator) -> n
     return points[rng.choice(n, size=m, replace=False)]
 
 
-def augment(points: np.ndarray, rng: np.random.Generator,
-            scale_range=(0.8, 1.25), shift: float = 0.1) -> np.ndarray:
-    """Train-time jitter: per-axis anisotropic scale and translation per cloud.
+def augment(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Train-time jitter: per-axis scale in [0.8, 1.25) and shift in [-0.1, 0.1) per cloud.
 
     Accepts [n, 3] or [batch, n, 3]; draws one scale/shift triple per cloud.
     """
     points = np.asarray(points)
     lead = points.shape[:-2] + (1, 3)
-    scale = rng.uniform(scale_range[0], scale_range[1], size=lead)
-    offset = rng.uniform(-shift, shift, size=lead)
+    scale = rng.uniform(0.8, 1.25, size=lead)
+    offset = rng.uniform(-0.1, 0.1, size=lead)
     return (points * scale + offset).astype(points.dtype)
 
 
@@ -209,9 +208,9 @@ def _synth_cloud(cls: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown synthetic class {cls!r}")
 
 
-def synth_shapes(num_per_class: int, n_points: int, seed: int,
-                 jitter: float = 0.01) -> tuple[PointDataset, PointDataset, DatasetManifest]:
-    """Four easily separable surfaces, jittered (sigma=jitter), normalized,
+def synth_shapes(num_per_class: int, n_points: int,
+                 seed: int) -> tuple[PointDataset, PointDataset, DatasetManifest]:
+    """Four easily separable surfaces, jittered (sigma 0.01), normalized,
     and split 80/20 per class by the seeded stream."""
     if n_points < 64:
         raise DimensionError(f"synthetic clouds need >= 64 points, got {n_points}")
@@ -222,7 +221,7 @@ def synth_shapes(num_per_class: int, n_points: int, seed: int,
     for label, cls in enumerate(SYNTH_CLASSES):
         clouds = []
         for i in range(num_per_class):
-            raw = _synth_cloud(cls, n_points, rng) + jitter * rng.standard_normal((n_points, 3))
+            raw = _synth_cloud(cls, n_points, rng) + 0.01 * rng.standard_normal((n_points, 3))
             clouds.append(normalize_cloud(raw.astype(np.float32)))
         perm = split_rng.permutation(num_per_class)
         n_train = int(round(num_per_class * 0.8))

@@ -93,19 +93,18 @@ class MulLinear(Layer):
 
     kind = "mul"
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
-                 bias: bool = True, name: str = "mul"):
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "mul"):
         self.name = name
         self.c_in, self.c_out = c_in, c_out
         self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in), "mul")
-        self.b = Param(f"{name}.b", np.zeros(c_out, np.float32), "mul") if bias else None
+        self.b = Param(f"{name}.b", np.zeros(c_out, np.float32), "mul")
         self._ctx = None
 
     def params(self):
-        return [self.w] if self.b is None else [self.w, self.b]
+        return [self.w, self.b]
 
     def forward(self, x, train: bool = True):
-        y = tensor.affine_map(x, self.w.data, None if self.b is None else self.b.data)
+        y = tensor.affine_map(x, self.w.data, self.b.data)
         self._ctx = x if train else None
         return y
 
@@ -114,8 +113,7 @@ class MulLinear(Layer):
         xf = x.reshape(-1, self.c_in)
         dyf = dy.reshape(-1, self.c_out)
         self.w.grad = dyf.T @ xf
-        if self.b is not None:
-            self.b.grad = tensor.column_sum(dyf)
+        self.b.grad = tensor.column_sum(dyf)
         if not need_input_grad:
             return None
         return (dyf @ self.w.data).reshape(x.shape)

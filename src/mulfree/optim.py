@@ -49,28 +49,20 @@ def modulated_sgd_step(w: np.ndarray, g: np.ndarray, lr: float, eta: float) -> n
 
 @dataclass
 class CosineSchedule:
-    """Cosine interpolation from lr_start at epoch 0 to lr_end at total_epochs.
-
-    `cycles` > 1 gives warm restarts; the default single cycle is what the
-    start/end rates pin down.
-    """
+    """Cosine interpolation from lr_start at epoch 0 to lr_end at total_epochs."""
 
     lr_start: float
     lr_end: float
     total_epochs: int
-    cycles: int = 1
 
     def lr_at(self, epoch: float) -> float:
         if not 0 <= epoch <= self.total_epochs:
             raise ConfigError(f"epoch {epoch} outside [0, {self.total_epochs}]")
-        if self.total_epochs == 0:
+        if epoch == 0:  # the endpoints are returned exactly
             return self.lr_start
-        phase = epoch * self.cycles / self.total_epochs
-        frac = 1.0 if (phase > 0 and phase == int(phase)) else phase % 1.0
-        if frac == 0.0:  # cycle boundaries hit the endpoints exactly
-            return self.lr_start
-        if frac == 1.0:
+        if epoch == self.total_epochs:
             return self.lr_end
+        frac = epoch / self.total_epochs
         return self.lr_end + 0.5 * (self.lr_start - self.lr_end) * (1.0 + math.cos(math.pi * frac))
 
 
@@ -146,7 +138,7 @@ class ModulatedSgd:
 
 
 def build_optimizers(groups: dict[str, list], adaptive_lr, modulated_lr, eta: float,
-                     total_epochs: int, cycles: int = 1) -> list:
+                     total_epochs: int) -> list:
     """(optimizer, schedule) pairs for the routed groups, adaptive first.
 
     The rates are (start, end) pairs; RunConfig checks them and eta.
@@ -154,8 +146,8 @@ def build_optimizers(groups: dict[str, list], adaptive_lr, modulated_lr, eta: fl
     out = []
     if AdaptiveMoment.kind in groups:
         out.append((AdaptiveMoment(groups[AdaptiveMoment.kind]),
-                    CosineSchedule(*adaptive_lr, total_epochs, cycles)))
+                    CosineSchedule(*adaptive_lr, total_epochs)))
     if ModulatedSgd.kind in groups:
         out.append((ModulatedSgd(groups[ModulatedSgd.kind], eta),
-                    CosineSchedule(*modulated_lr, total_epochs, cycles)))
+                    CosineSchedule(*modulated_lr, total_epochs)))
     return out

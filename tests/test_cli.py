@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from mulfree.models import ModelConfig, build_model
 from mulfree.shiftquant import read_packed
 from mulfree.tensor import substream
 
-TINY = dict(data="synthetic", epochs=2, seed=3, synth_per_class=16, synth_points=64)
+TINY = dict(data="synthetic", epochs=2, seed=3, synth_per_class=16, points=64)
 
 
 def tiny_cfg(variant="sa", **over):
@@ -40,10 +41,10 @@ class TestConfigIni:
     def test_roundtrip(self):
         every = RunConfig(variant="add", data="modelnet40:/meshes", epochs=5, batch_size=8,
                           seed=11, augment=False, embed_widths=(4, 4, 8, 8),
-                          encoder_widths=(8, 16), head_widths=(8, 4), num_classes=3, knn_k=5,
+                          encoder_widths=(8, 16), head_widths=(8, 4), knn_k=5,
                           points=96, lr_adaptive_start=2e-3, lr_adaptive_end=2e-6,
-                          lr_modulated_start=3e-2, lr_modulated_end=3e-3, eta=0.3, cycles=2,
-                          synth_per_class=20, synth_points=128, class_names=("a", "b", "c"))
+                          lr_modulated_start=3e-2, lr_modulated_end=3e-3, eta=0.3,
+                          synth_per_class=20, class_names=("a", "b", "c"))
         default = RunConfig()
         assert [f.name for f in fields(RunConfig)
                 if getattr(every, f.name) == getattr(default, f.name)] == ["out"]
@@ -51,18 +52,27 @@ class TestConfigIni:
             assert config_from_ini(config_to_ini(cfg)) == cfg
 
     def test_points_sets_the_synthetic_cloud_size(self):
-        train_ds, test_ds, _ = load_datasets(RunConfig(synth_per_class=4, points=96,
-                                                       synth_points=64))
+        train_ds, test_ds, _ = load_datasets(RunConfig(synth_per_class=4, points=96))
         assert train_ds.points.shape[1] == test_ds.points.shape[1] == 96
-        train_ds, _, _ = load_datasets(RunConfig(synth_per_class=4, synth_points=64))
-        assert train_ds.points.shape[1] == 64
+        train_ds, _, _ = load_datasets(RunConfig(synth_per_class=4))
+        assert train_ds.points.shape[1] == 256
 
-    def test_knn_k_above_synth_points_trains_on_points_sized_clouds(self, tmp_path):
+    def test_class_names_set_the_head_width(self):
+        assert RunConfig(class_names=("a", "b", "c")).model_config().num_classes == 3
+        assert RunConfig().model_config().num_classes == 4  # the synthetic preset
+        assert RunConfig(data="modelnet40:/x").model_config().num_classes == 40
+
+    def test_knn_k_above_tiny_points_trains_on_points_sized_clouds(self, tmp_path):
         ini = tmp_path / "k65.ini"
         ini.write_text(config_to_ini(tiny_cfg(knn_k=65, points=96, synth_per_class=4, epochs=1,
                                               embed_widths=(4, 4, 8, 8),
                                               encoder_widths=(8, 8), head_widths=(8,))))
         assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
+
+    def test_booleans_take_the_configparser_words(self):
+        for word, val in (("off", False), ("No", False), ("0", False),
+                          ("on", True), ("YES", True), ("1", True)):
+            assert config_from_ini(f"[run]\naugment = {word}\n").augment is val
 
     def test_defaults_match_training_parameters(self):
         cfg = RunConfig()
@@ -135,7 +145,7 @@ class TestTrain:
     def test_config_written_before_metrics(self, sa_run):
         cfg = config_from_ini((sa_run / "config.ini").read_text())
         assert cfg.class_names == ("cube", "disk", "planes", "sphere")
-        assert cfg.num_classes == 4
+        assert cfg.model_config().num_classes == 4
 
 
 class TestEval:
@@ -275,6 +285,9 @@ class TestMeshDirectoryTraining:
         assert rc == 0
         report = cmd_eval(out / "ckpt_last.bin")
         assert set(report["per_class"]) == {"slab", "tower"}
+        model, _ = load_checkpoint(out / "ckpt_last.bin")
+        assert dict(model.stages)["head_out"].w.data.shape == (2, 8)  # one row per class
+        assert "num_classes" not in (out / "config.ini").read_text()
         assert (tmp_path / "meshes" / "sapc_cache" / "train.sapc").exists()
 
 
@@ -413,8 +426,17 @@ class TestDiagnostics:
         # config says one architecture, tensors say another
         path = tmp_path / "mismatch.bin"
         save_checkpoint(path, other, config_to_ini(cfg))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: checkpoint tensor")):
             load_checkpoint(path)
+
+    def test_checkpoint_with_a_removed_setting_names_file_and_key(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        path = tmp_path / "old.bin"
+        text = config_to_ini(cfg).replace("[data]\n", "[data]\nsynth_points = 256\n")
+        save_checkpoint(path, build_model(cfg.model_config(), substream(0, 0)), text)
+        assert main(["eval", "--ckpt", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: config [data] has unknown key 'synth_points'\n"
 
 
 class TestMainEntry:
@@ -422,7 +444,7 @@ class TestMainEntry:
         out = tmp_path / "cli_run"
         rc = main(["train", "--variant", "shift", "--data", "synthetic",
                    "--epochs", "1", "--seed", "5", "--out", str(out),
-                   "--synth-per-class", "8", "--synth-points", "64"])
+                   "--synth-per-class", "8", "--points", "64"])
         assert rc == 0
         rc = main(["eval", "--ckpt", str(out / "ckpt_last.bin")])
         assert rc == 0
@@ -444,7 +466,7 @@ class TestMainEntry:
     def test_no_augment_flag(self, tmp_path):
         rc = main(["train", "--variant", "mul", "--epochs", "0", "--out",
                    str(tmp_path / "na"), "--no-augment",
-                   "--synth-per-class", "8", "--synth-points", "64"])
+                   "--synth-per-class", "8", "--points", "64"])
         assert rc == 0
         cfg = config_from_ini((tmp_path / "na" / "config.ini").read_text())
         assert cfg.augment is False
@@ -459,17 +481,19 @@ class TestMainEntry:
         cfg = config_from_ini((out / "config.ini").read_text())
         assert cfg.variant == "shift"  # flags win over the file
         assert cfg.eta == 0.3          # file wins over defaults
-        assert cfg.synth_points == 64
+        assert cfg.points == 64
 
     @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n",
                                       "[run]\nbatch_size = 0\n", "[run]\nseed = -3\n",
                                       "[run]\nepochs = -1\n", "[run]\nepoch = 5\n",
                                       "[bogus]\nx = 1\n", "[run]\nvariant = foo\n",
-                                      "[optim]\ncycles = 0\n", b"[run]\nvariant = \xff\n",
+                                      "[optim]\ncycles = 1\n", b"[run]\nvariant = \xff\n",
                                       "[optim]\neta = 0\n", "[optim]\nlr_adaptive_start = -1\n",
-                                      "[model]\nknn_k = 100\n[data]\nsynth_points = 64\n",
+                                      "[model]\nknn_k = 100\npoints = 64\n",
                                       "[model]\nembed_widths = 4,4,8\n",
-                                      "[model]\nnum_classes = 2\n[data]\nsynth_points = 64\n"])
+                                      "[model]\nnum_classes = 4\n", "[data]\nsynth_points = 256\n",
+                                      "[run]\naugment = flase\n", "[run]\naugment = 2\n",
+                                      "[run]\naugment =\n"])
     def test_malformed_config_file_exits_with_message(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
         if isinstance(text, bytes):
@@ -482,6 +506,12 @@ class TestMainEntry:
         assert err.startswith("error: ")
         if isinstance(text, bytes):
             assert str(ini) in err
+            return
+        if "augment" in text:
+            assert "config [run] augment: " in err and "is not a boolean" in err
+        for removed in ("cycles", "num_classes", "synth_points"):  # dropped settings
+            if removed in text:
+                assert f"unknown key {removed!r}" in err
 
     def test_non_utf8_off_file_exits_with_message(self, tmp_path, capsys):
         from test_data import QUAD_OFF
@@ -616,12 +646,13 @@ class TestScripts:
     def test_gain_rule_counts_a_crashed_pair_against_the_change(self):
         bench_pairs = _bench_pairs()
         parent, change = [100.0] * 10, [110.0] * 9 + [90.0]
-        met = bench_pairs.summarise("clouds_per_s", "higher", parent, change)
+        line = bench_pairs.fmt_compare
+        met = line(bench_pairs.compare("higher", parent, change))
         assert "9/10 wins (meets the gain rule)" in met
         # one more pair in which the change crashed: 9 wins of 11 pairs run is short of 9/10
-        short = bench_pairs.summarise("clouds_per_s", "higher", parent + [100.0], change + [None])
+        short = line(bench_pairs.compare("higher", parent + [100.0], change + [None]))
         assert short.endswith("9/11 wins")
-        assert bench_pairs.summarise("setup_s", "lower", [None], [0.1]) == "no complete pair"
+        assert line(bench_pairs.compare("lower", [None], [0.1])) == "no complete pair"
 
     def test_summary_json_row(self):
         bench_pairs = _bench_pairs()

@@ -183,11 +183,6 @@ class TestAugment:
         assert np.all(out >= 0.8 - 0.1 - 1e-6)
         assert np.any(out != pts)
 
-    def test_identity_configuration(self):
-        pts = make_rng(11).standard_normal((4, 16, 3)).astype(np.float32)
-        out = augment(pts, make_rng(0), scale_range=(1.0, 1.0), shift=0.0)
-        np.testing.assert_array_equal(out, pts)
-
     def test_per_cloud_draws(self):
         pts = np.ones((3, 4, 3), np.float32)
         out = augment(pts, make_rng(12))

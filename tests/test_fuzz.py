@@ -26,7 +26,7 @@ FUZZ = settings(deadline=None, max_examples=60,
 def ckpt_blob(tmp_path_factory):
     """A valid checkpoint of a tiny sa model: magic, body, CRC."""
     cfg = RunConfig(variant="sa", embed_widths=(2, 2, 2, 2), encoder_widths=(2, 2),
-                    head_widths=(2,), num_classes=2, knn_k=1, synth_points=8)
+                    head_widths=(2,), knn_k=1, points=8)
     path = tmp_path_factory.mktemp("fuzz") / "tiny.bin"
     save_checkpoint(path, build_model(cfg.model_config(), substream(0, 0)), config_to_ini(cfg))
     return path.read_bytes()

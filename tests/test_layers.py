@@ -73,7 +73,7 @@ class TestQuantizeShift:
 
 class TestMulLinear:
     def test_identity_backward(self):
-        layer = MulLinear(3, 3, make_rng(0), bias=False)
+        layer = MulLinear(3, 3, make_rng(0))
         layer.w.data = np.eye(3, dtype=np.float32)
         x = make_rng(1).standard_normal((2, 4, 3))
         layer.forward(x)

@@ -111,7 +111,7 @@ class TestCosineSchedule:
     def test_boundaries_and_midpoint(self):
         sched = CosineSchedule(1e-3, 1e-6, 100)
         assert sched.lr_at(0) == 1e-3
-        assert abs(sched.lr_at(100) - 1e-6) < 1e-18
+        assert sched.lr_at(100) == 1e-6  # the endpoints are exact
         assert abs(sched.lr_at(50) - (1e-3 + 1e-6) / 2) < 1e-12
 
     def test_monotone_nonincreasing(self):
@@ -125,11 +125,6 @@ class TestCosineSchedule:
             sched.lr_at(11)
         with pytest.raises(ConfigError):
             sched.lr_at(-1)
-
-    def test_restart_knob(self):
-        sched = CosineSchedule(1.0, 0.0, 10, cycles=2)
-        assert abs(sched.lr_at(5) - 0.0) < 1e-15  # end of first cycle
-        assert abs(sched.lr_at(6) - sched.lr_at(1)) < 1e-12  # second cycle restarts
 
     @settings(deadline=None, max_examples=40)
     @given(st.floats(1e-8, 1.0), st.integers(1, 500))
