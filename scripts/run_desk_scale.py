@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Train all four variants on the synthetic desk-scale dataset and write
-every report: eval, density sweep, gradient RMS table, and exports.
+every report: density sweep, gradient RMS table, and exports. There is no
+separate `eval`: the sweep's first row is the full-size eval report.
 Stops at the first command that fails and exits with its code."""
 
 import argparse
@@ -18,7 +19,6 @@ def commands(args):
         yield ["train", "--variant", variant, "--data", "synthetic",
                "--epochs", str(args.epochs), "--seed", str(args.seed), "--out", str(out)]
         ckpt = str(out / "ckpt_best.bin")
-        yield ["eval", "--ckpt", ckpt, "--out", str(out)]
         yield ["sweep-density", "--ckpt", ckpt, "--out", str(out)]
         yield ["grad-report", "--ckpt", ckpt, "--batches", "4", "--out", str(out)]
         yield ["export", "--ckpt", ckpt, "--what", "weights_hist", "--out", str(out / "exports")]

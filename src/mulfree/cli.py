@@ -2,8 +2,10 @@
 
 A run directory holds the resolved config (written before training), a
 line-delimited metrics file, and best/last checkpoints in a self-contained
-binary format (tensor name, shape, dtype, payload, trailing CRC) with the
-config embedded so evaluation can rebuild the exact architecture.
+binary format: the config, a (name, dtype, shape, float32 payload) record
+per state tensor, and a CRC. Loading builds the model from the config and
+checks each record against its tensor; a record that differs, or a byte
+after the last, is an error.
 """
 
 from __future__ import annotations
@@ -186,7 +188,11 @@ def load_datasets(cfg: RunConfig):
 
 # --- checkpoints ---
 
-_DTYPES = [np.dtype("float32"), np.dtype("float64"), np.dtype("int64"), np.dtype("int8")]
+def _record_header(name: str, shape: tuple) -> bytes:
+    """Name length (u16), name, dtype code 0 (float32), rank (u8), dims (u32 each)."""
+    name_b = name.encode()
+    return struct.pack(f"<H{len(name_b)}sBB{len(shape)}I", len(name_b), name_b, 0,
+                       len(shape), *shape)
 
 
 def save_checkpoint(path, model, config_text: str) -> None:
@@ -195,67 +201,47 @@ def save_checkpoint(path, model, config_text: str) -> None:
     items = model.state_items()
     parts = [struct.pack("<HI", 1, len(cfg_bytes)), cfg_bytes, struct.pack("<I", len(items))]
     for name, arr in items:
-        arr = np.ascontiguousarray(arr)
-        name_b = name.encode()
-        parts += [struct.pack("<H", len(name_b)) + name_b,
-                  struct.pack("<BB", _DTYPES.index(arr.dtype), arr.ndim),
-                  struct.pack(f"<{arr.ndim}I", *arr.shape), memoryview(arr).cast("B")]
+        arr = np.ascontiguousarray(arr, np.float32)
+        parts += [_record_header(name, arr.shape), memoryview(arr).cast("B")]
     write_framed(path, CKPT_MAGIC, parts)
 
 
-def _unpack(fmt: str, body: bytes, off: int, path) -> tuple:
-    try:
-        return struct.unpack_from(fmt, body, off)
-    except struct.error as exc:
-        raise CacheError(f"{path}: truncated checkpoint") from exc
-
-
-def _decode(raw: bytes, what: str, path) -> str:
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        raise CacheError(f"{path}: checkpoint {what} is not UTF-8") from exc
+def _expect(body: bytes, off: int, want: bytes, what: str, path, payload: int = 0) -> int:
+    """The offset past `want`, which the body must hold at `off`, then `payload` bytes."""
+    end = off + len(want)
+    if not want.startswith(body[off:end]):
+        raise ConfigError(f"{path}: checkpoint tensor {what}")
+    if end + payload > len(body):
+        raise CacheError(f"{path}: truncated checkpoint")
+    return end
 
 
 def load_checkpoint(path):
-    """Returns (model, run_cfg). The embedded config rebuilds the architecture."""
-    body = unframe(Path(path).read_bytes(), CKPT_MAGIC, CacheError, f"{path}: checkpoint")
-    version, cfg_len = _unpack("<HI", body, 0, path)
+    """Returns (model, run_cfg). The embedded config builds the model; each record must
+    start with the header of that model's tensor in its place, and fills that tensor."""
+    body = unframe(Path(path).read_bytes(), CKPT_MAGIC, CacheError, f"{path}: checkpoint",
+                   min_body=6)
+    version, cfg_len = struct.unpack_from("<HI", body)
     if version != 1:
         raise CacheError(f"{path}: unsupported checkpoint version {version}")
-    off = 6
-    config_text = _decode(body[off : off + cfg_len], "config", path)
-    off += cfg_len
-    (count,) = _unpack("<I", body, off, path)
-    off += 4
-    tensors = {}
-    for _ in range(count):
-        (nlen,) = _unpack("<H", body, off, path)
-        off += 2
-        name = _decode(body[off : off + nlen], "tensor name", path)
-        off += nlen
-        dcode, rank = _unpack("<BB", body, off, path)
-        off += 2
-        dims = _unpack(f"<{rank}I", body, off, path)
-        off += 4 * rank
-        if dcode >= len(_DTYPES):
-            raise CacheError(f"{path}: tensor {name!r} has unknown dtype code {dcode}")
-        dt = _DTYPES[dcode]
-        size = math.prod(dims) * dt.itemsize
-        if off + size > len(body):
-            raise CacheError(f"{path}: tensor {name!r} is truncated")
-        try:
-            arr = np.frombuffer(body, dt, math.prod(dims), off).reshape(dims)
-        except ValueError as exc:  # more dims than numpy allows, or an overflowing shape
-            raise CacheError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
-        tensors[name] = arr.copy()
-        off += size
+    off = 6 + cfg_len
     try:
-        run_cfg = config_from_ini(config_text)
-        model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))
-        model.load_state(tensors)
+        run_cfg = config_from_ini(body[6:off].decode())
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: checkpoint config is not UTF-8") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    model = build_model(run_cfg.model_config(), substream(run_cfg.seed, 0))
+    items = model.state_items()
+    off = _expect(body, off, struct.pack("<I", len(items)),
+                  f"count is not the model's {len(items)}", path)
+    for name, arr in items:
+        off = _expect(body, off, _record_header(name, arr.shape),
+                      f"record is not the model's {name!r}, shape {arr.shape}", path, arr.nbytes)
+        arr[...] = np.frombuffer(body, np.float32, arr.size, off).reshape(arr.shape)
+        off += arr.nbytes
+    if off != len(body):
+        raise CacheError(f"{path}: {len(body) - off} bytes after the last checkpoint tensor")
     return model, run_cfg
 
 
@@ -548,6 +534,8 @@ def _train(config=None, **overrides):
             cfg = config_from_ini(Path(config).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{config}: config file is not UTF-8") from exc
+        except ConfigError as exc:  # a flag's error below names the flag's field instead
+            raise ConfigError(f"{config}: {exc}") from exc
     print(f"run directory: {cmd_train(replace(cfg, **overrides))}")
 
 

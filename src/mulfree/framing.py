@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from pathlib import Path
 
 
 def frame(magic: bytes, body: bytes) -> bytes:
@@ -13,14 +14,20 @@ def frame(magic: bytes, body: bytes) -> bytes:
 
 
 def write_framed(path, magic: bytes, parts) -> None:
-    """Write frame(magic, b"".join(parts)) to path without joining the parts."""
+    """Write frame(magic, b"".join(parts)) to path without joining the parts, through a
+    sibling file that replaces path once complete and is removed if the write fails."""
+    tmp = Path(f"{path}.tmp")
     crc = 0
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        for part in parts:
-            fh.write(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(struct.pack("<I", crc))
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
+        tmp.replace(path)
+    finally:  # after a failed or interrupted write; a no-op once replaced
+        tmp.unlink(missing_ok=True)
 
 
 def unframe(blob: bytes, magic: bytes, error: type, what: str, min_body: int = 0) -> bytes:

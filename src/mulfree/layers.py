@@ -135,7 +135,6 @@ class ShiftLinear(Layer):
         self.c_in, self.c_out = c_in, c_out
         self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in), "shift")
         self.s = self.p = self.w_q = None
-        self.fixed_overflows = 0
         self._ctx = None
 
     def params(self):
@@ -153,10 +152,8 @@ class ShiftLinear(Layer):
     def forward_fixed(self, x):
         """Inference path through the Q16.16 integer kernel (result dequantized)."""
         self.quantize()
-        y, overflows = shiftquant.shift_affine_fixed(x, self.s, self.p)
-        self.fixed_overflows += overflows
         self._ctx = None
-        return y
+        return shiftquant.shift_affine_fixed(x, self.s, self.p)[0]  # [1]: saturated count
 
     def backward(self, dy, need_input_grad: bool = True):
         x, w_q = self._take_ctx()

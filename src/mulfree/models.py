@@ -165,28 +165,12 @@ class PointCloudClassifier:
     def parameters(self):
         return [p for _, layer in self.stages for p in layer.params()]
 
-    def _state_slots(self):
-        """(name, owner, attribute) of every tensor in state_items, in order."""
-        slots = [(p.name, p, "data") for p in self.parameters()]
-        for _, norm in self.stages:
-            if isinstance(norm, BatchNorm):
-                slots += [(f"{norm.name}.{a}", norm, a) for a in ("running_mean", "running_var")]
-        return slots
-
     def state_items(self):
-        """All persistent tensors: trainable parameters plus running norm stats."""
-        return [(name, getattr(owner, attr)) for name, owner, attr in self._state_slots()]
-
-    def load_state(self, mapping: dict) -> None:
-        """Assign saved tensors by name; missing names or shape drift raise ConfigError."""
-        for name, owner, attr in self._state_slots():
-            arr, want = mapping.get(name), getattr(owner, attr).shape
-            if arr is None:
-                raise ConfigError(f"checkpoint is missing tensor {name!r}")
-            if arr.shape != want:
-                raise ConfigError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                                  f"model expects {want}")
-            setattr(owner, attr, arr.astype(np.float32, copy=False))
+        """All persistent tensors, in checkpoint order: trainable parameters plus
+        running norm stats. Each is the live array, so a checkpoint loads in place."""
+        stats = [(f"{norm.name}.{a}", getattr(norm, a)) for _, norm in self.stages
+                 if isinstance(norm, BatchNorm) for a in ("running_mean", "running_var")]
+        return [(p.name, p.data) for p in self.parameters()] + stats
 
     def parameter_count(self, include_bias: bool = True) -> int:
         total = 0

@@ -17,8 +17,8 @@ from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
                          cmd_sweep_density, cmd_train, config_from_ini,
                          config_to_ini, evaluate, load_checkpoint, load_datasets,
                          main, save_checkpoint)
-from mulfree.errors import CacheError, ConfigError
-from mulfree.framing import frame
+from mulfree.errors import CacheError, ConfigError, MulfreeError
+from mulfree.framing import frame, write_framed
 from mulfree.models import ModelConfig, build_model
 from mulfree.shiftquant import read_packed
 from mulfree.tensor import substream
@@ -365,19 +365,30 @@ class TestDiagnostics:
         body += struct.pack("<I", len(items))
         for name, arr in items:
             body += struct.pack("<H", len(name)) + name.encode()
-            body += struct.pack("<BB", cli._DTYPES.index(arr.dtype), arr.ndim)
+            body += struct.pack("<BB", 0, arr.ndim)  # dtype code 0: float32
             body += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
         assert path.read_bytes() == frame(cli.CKPT_MAGIC, body)
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "ckpt_best.bin"
+        path.write_bytes(b"previous best")
+
+        def parts():
+            yield b"body"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_framed(path, cli.CKPT_MAGIC, parts())
+        assert path.read_bytes() == b"previous best"
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_best.bin"]
 
     @staticmethod
     def resealed(tmp_path, edit):
         """A small checkpoint whose body `edit` rewrites, with a fresh CRC."""
-        model = build_model(ModelConfig(variant="mul", embed_widths=(4, 4, 8, 8),
-                                        encoder_widths=(8, 8), head_widths=(8,),
-                                        num_classes=4, knn_k=2, points_in=32),
-                            substream(0, 0))
+        cfg = tiny_cfg(variant="mul", embed_widths=(4, 4, 8, 8), encoder_widths=(8, 8),
+                       head_widths=(8,), knn_k=2, points=32)
         path = tmp_path / "resealed.bin"
-        save_checkpoint(path, model, config_to_ini(tiny_cfg(variant="mul")))
+        save_checkpoint(path, build_model(cfg.model_config(), substream(0, 0)), config_to_ini(cfg))
         blob = path.read_bytes()
         body = edit(bytearray(blob[4:-4]))
         path.write_bytes(blob[:4] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
@@ -395,8 +406,26 @@ class TestDiagnostics:
             (nlen,) = struct.unpack_from("<H", body, rec)
             body[rec + 2 + nlen] = 200  # dtype code
             return body
-        with pytest.raises(CacheError, match="dtype"):
-            load_checkpoint(self.resealed(tmp_path, edit))
+        path = self.resealed(tmp_path, edit)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: checkpoint tensor record is not the model's 'embed1.w'")):
+            load_checkpoint(path)
+
+    def test_checkpoint_trailing_bytes(self, tmp_path):
+        path = self.resealed(tmp_path, lambda body: body + b"\0" * 3)
+        with pytest.raises(CacheError, match=re.escape(
+                f"{path}: 3 bytes after the last checkpoint tensor")):
+            load_checkpoint(path)
+
+    def test_checkpoint_extra_record(self, tmp_path):
+        def edit(body):
+            at = self.first_record(body) - 4
+            (count,) = struct.unpack_from("<I", body, at)
+            struct.pack_into("<I", body, at, count + 1)
+            return body + struct.pack("<H5sBBI", 5, b"extra", 0, 1, 1) + b"\0" * 4
+        path = self.resealed(tmp_path, edit)
+        with pytest.raises(MulfreeError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def test_checkpoint_truncated_tensor_record(self, tmp_path):
         for cut in (1, 5, 40):  # inside the name length, the header, the payload
@@ -411,8 +440,12 @@ class TestDiagnostics:
             body[at] = 0xFF
             return body
         path = self.resealed(tmp_path, edit)
-        with pytest.raises(CacheError, match=f"{where} is not UTF-8"):
-            load_checkpoint(path)
+        if where == "config":
+            with pytest.raises(CacheError, match="config is not UTF-8"):
+                load_checkpoint(path)
+        else:  # the name is no longer decoded: the record differs from the model's
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: checkpoint tensor record")):
+                load_checkpoint(path)
         assert main(["eval", "--ckpt", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
@@ -503,14 +536,15 @@ class TestMainEntry:
         assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 1
         assert not (tmp_path / "run").exists()  # checked before the run directory is written
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {ini}: ")  # every error of the file names the file
         if isinstance(text, bytes):
-            assert str(ini) in err
             return
         if "augment" in text:
-            assert "config [run] augment: " in err and "is not a boolean" in err
+            assert err.startswith(f"error: {ini}: config [run] augment: ")
+            assert "is not a boolean" in err
         for removed in ("cycles", "num_classes", "synth_points"):  # dropped settings
             if removed in text:
+                assert err.startswith(f"error: {ini}: config [")
                 assert f"unknown key {removed!r}" in err
 
     def test_non_utf8_off_file_exits_with_message(self, tmp_path, capsys):
@@ -623,6 +657,13 @@ class TestMainEntry:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(manifest) in err
+
+    def test_flag_error_under_a_config_file_names_no_file(self, tmp_path, capsys):
+        ini = tmp_path / "base.ini"
+        ini.write_text(config_to_ini(tiny_cfg()))
+        argv = ["train", "--config", str(ini), "--batch-size", "0", "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
 
     def test_config_file_variant_survives_without_flag(self, tmp_path):
         ini = tmp_path / "base.ini"

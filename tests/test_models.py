@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree.cli import SYNTH_MODEL, backprop_batch, evaluate
+from mulfree.cli import (SYNTH_MODEL, RunConfig, backprop_batch, config_to_ini, evaluate,
+                         load_checkpoint, save_checkpoint)
 from mulfree.data import PointDataset
 from mulfree.errors import ConfigError, DimensionError
 from mulfree.layers import MulLinear
-from mulfree.models import (ModelConfig, build_model, knn_group,
+from mulfree.models import (ModelConfig, PointCloudClassifier, build_model, knn_group,
                             layer_kind_sequence)
 from mulfree.optim import build_optimizers, route_parameters
 from mulfree.tensor import make_rng, softmax_cross_entropy, substream
@@ -244,36 +245,49 @@ class TestFixedShiftInference:
 
 
 class TestState:
+    @staticmethod
+    def saved(tmp_path, model):
+        """model's checkpoint, under a config that builds small("sa")."""
+        cfg = RunConfig(embed_widths=SMALL["embed_widths"], encoder_widths=SMALL["encoder_widths"],
+                        head_widths=SMALL["head_widths"], knn_k=SMALL["knn_k"],
+                        points=SMALL["points_in"])
+        assert cfg.model_config() == small("sa").cfg
+        path = tmp_path / "state.bin"
+        save_checkpoint(path, model, config_to_ini(cfg))
+        return path
+
     def test_state_names_unique(self):
         names = [n for n, _ in small("sa").state_items()]
         assert len(names) == len(set(names))
 
-    def test_load_state_shape_mismatch(self):
+    def test_load_state_shape_mismatch(self, tmp_path):
         m = small("sa")
-        state = dict(m.state_items())
-        bad = {k: v.copy() for k, v in state.items()}
-        first = next(iter(bad))
-        bad[first] = np.zeros((1, 1), np.float32)
-        with pytest.raises(ConfigError):
-            m.load_state(bad)
-        bad = {**state, "embed1.bn.running_var": np.ones(3, np.float32)}
+        first = m.linear_layers()[0][1]
+        first.w.data = np.zeros((1, 1), np.float32)
+        path = self.saved(tmp_path, m)
+        with pytest.raises(ConfigError, match=f"{path}: checkpoint tensor .*'embed1.w'"):
+            load_checkpoint(path)
+        m = small("sa")
+        dict(m.stages)["embed1.bn"].running_var = np.ones(3, np.float32)
         with pytest.raises(ConfigError, match="running_var"):
-            m.load_state(bad)
+            load_checkpoint(self.saved(tmp_path, m))
 
-    def test_load_state_missing_tensor(self):
+    def test_load_state_missing_tensor(self, tmp_path):
         m = small("sa")
-        state = dict(m.state_items())
-        state.pop(next(iter(state)))
-        with pytest.raises(ConfigError):
-            m.load_state(state)
+        m.state_items = lambda: PointCloudClassifier.state_items(m)[1:]
+        path = self.saved(tmp_path, m)
+        with pytest.raises(ConfigError, match=f"{path}: checkpoint tensor count"):
+            load_checkpoint(path)
 
-    def test_load_state_roundtrip_preserves_forward(self):
+    def test_load_state_roundtrip_preserves_forward(self, tmp_path):
         rng = make_rng(10)
         pts = unit_cloud(rng)
-        m = small("sa")
+        m = build_model(ModelConfig(variant="sa", **SMALL), substream(11, 0))
+        for _, arr in m.state_items():  # off the initial values, running stats included
+            arr += rng.uniform(0.5, 1.0, arr.shape).astype(np.float32)
         want = m.forward(pts, train=False)
-        m2 = small("sa")
-        m2.load_state({k: v.copy() for k, v in m.state_items()})
+        assert not np.array_equal(small("sa").forward(pts, train=False), want)
+        m2, _ = load_checkpoint(self.saved(tmp_path, m))
         np.testing.assert_array_equal(m2.forward(pts, train=False), want)
 
 
