@@ -381,6 +381,9 @@ class TestDiagnostics:
             write_framed(path, cli.CKPT_MAGIC, parts())
         assert path.read_bytes() == b"previous best"
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt_best.bin"]
+        write_framed(path, cli.CKPT_MAGIC, [b"body"])
+        assert path.read_bytes() == frame(cli.CKPT_MAGIC, b"body")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_best.bin"]
 
     @staticmethod
     def resealed(tmp_path, edit):
@@ -412,6 +415,7 @@ class TestDiagnostics:
             load_checkpoint(path)
 
     def test_checkpoint_trailing_bytes(self, tmp_path):
+        load_checkpoint(self.resealed(tmp_path, lambda body: body))  # the unedited file loads
         path = self.resealed(tmp_path, lambda body: body + b"\0" * 3)
         with pytest.raises(CacheError, match=re.escape(
                 f"{path}: 3 bytes after the last checkpoint tensor")):
