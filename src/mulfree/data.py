@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, DegenerateCloudError, DimensionError, MeshError, MulfreeError
-from .framing import frame, unframe
+from .framing import unframe, write_framed
 from .tensor import substream
 
 CACHE_MAGIC = b"SAPC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+CACHE_NAME = "dataset.sapc"
 
 SYNTH_CLASSES = ["cube", "disk", "planes", "sphere"]
 _CUBE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # the two free axes of each cube face
@@ -54,22 +55,7 @@ class DatasetManifest:
     class_names: list
     train_ids: list
     test_ids: list
-    points_per_cloud: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=1)
-
-    @classmethod
-    def read(cls, path) -> "DatasetManifest":
-        """Parse a manifest.json; malformed content raises CacheError naming the file."""
-        try:  # bad UTF-8 or JSON, missing or unknown keys, or class names that are not strings
-            man = cls(**json.loads(Path(path).read_text()))
-            if list(map(str, man.class_names)) != man.class_names:
-                raise TypeError("class_names is not a list of strings")
-        except (ValueError, TypeError) as exc:
-            raise CacheError(f"{path}: malformed manifest: {exc}") from exc
-        return man
 
 
 # --- OFF meshes ---
@@ -237,81 +223,87 @@ def synth_shapes(num_per_class: int, n_points: int,
         stacked = np.stack(pts) if pts else np.zeros((0, n_points, 3), np.float32)
         return PointDataset(stacked, np.array(lab, np.int64), list(SYNTH_CLASSES))
 
-    manifest = DatasetManifest(list(SYNTH_CLASSES), tr_ids, te_ids, n_points, seed)
+    manifest = DatasetManifest(list(SYNTH_CLASSES), tr_ids, te_ids, seed)
     return pack(tr_pts, tr_lab), pack(te_pts, te_lab), manifest
 
 
 # --- binary cache ---
 
 def _cache_record(n: int) -> np.dtype:
-    """One packed SAPC record: a uint16 label, then n float32 (x, y, z) points."""
+    """One packed SAPC record: a uint16 label, then n float32 (x, y, z) points.
+    numpy holds a record of at most 2**31 - 1 bytes, so n is below 178,956,971."""
     return np.dtype([("label", "<u2"), ("points", "<f4", (n, 3))])
 
 
-def cache_write(path, points: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
-    """Write one split: SAPC header, label+points records, trailing CRC32."""
-    count = len(labels)
-    n = np.shape(points)[1] if count else 0
-    records = np.empty(count, _cache_record(n))
-    records["label"] = labels
-    records["points"] = np.reshape(points, (count, n, 3))  # an empty split has n = 0
-    body = struct.pack("<HIHH", CACHE_VERSION, count, n_classes, n) + records.tobytes()
-    Path(path).write_bytes(frame(CACHE_MAGIC, body))
+def cache_write(path, train: PointDataset, test: PointDataset,
+                manifest: DatasetManifest) -> None:
+    """Write a dataset as one SAPC file: version, cloud size, the manifest as
+    length-prefixed JSON, then the train and the test label+points records."""
+    n = train.points.shape[1]
+    text = json.dumps(vars(manifest)).encode()
+    parts = [struct.pack("<HQI", CACHE_VERSION, n, len(text)), text]
+    for ds in (train, test):
+        records = np.empty(len(ds), _cache_record(n))
+        records["label"] = ds.labels
+        records["points"] = ds.points
+        parts.append(records.view(np.uint8))
+    write_framed(path, CACHE_MAGIC, parts)
 
 
-def cache_read(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read one split back; raises CacheError on any corruption."""
+def cache_read(path) -> tuple[PointDataset, PointDataset, DatasetManifest]:
+    """Read a dataset back. A bad frame, version or manifest, records that are not
+    one per id, or a label outside the class names raises CacheError naming the file."""
     body = unframe(Path(path).read_bytes(), CACHE_MAGIC, CacheError, f"{path}: SAPC cache",
-                   min_body=10)
-    version, count, n_classes, n = struct.unpack_from("<HIHH", body, 0)
+                   min_body=14)
+    version, n, text_len = struct.unpack_from("<HQI", body)
     if version != CACHE_VERSION:
         raise CacheError(f"{path}: unsupported cache version {version}")
-    record = _cache_record(n)
-    if len(body) != 10 + count * record.itemsize:
-        raise CacheError(f"{path}: expected {count} records, size mismatch")
-    records = np.frombuffer(body, record, count, 10)
-    return records["points"].copy(), records["label"].astype(np.int64), n_classes
-
-
-def save_dataset(out_dir, train: PointDataset, test: PointDataset,
-                 manifest: DatasetManifest) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cache_write(out / "train.sapc", train.points, train.labels, len(manifest.class_names))
-    cache_write(out / "test.sapc", test.points, test.labels, len(manifest.class_names))
-    (out / "manifest.json").write_text(manifest.to_json())
+    off = 14 + text_len
+    try:  # bad UTF-8 or JSON, missing or unknown keys, or lists that are not of strings
+        man = DatasetManifest(**json.loads(body[14:off]))
+        lists = (man.class_names, man.train_ids, man.test_ids)
+        if any(list(map(str, ids)) != ids for ids in lists) or type(man.seed) is not int:
+            raise TypeError("ids and class names must be lists of strings, seed an integer")
+    except (ValueError, TypeError) as exc:
+        raise CacheError(f"{path}: malformed manifest: {exc}") from exc
+    n_train, n_test = len(man.train_ids), len(man.test_ids)
+    if 2 + 12 * n >= 2**31 or len(body) != off + (n_train + n_test) * (2 + 12 * n):
+        raise CacheError(f"{path}: the records are not one {n}-point cloud for each of "
+                         f"the {n_train} train and {n_test} test ids")
+    records = np.frombuffer(body, _cache_record(n), n_train + n_test, off)
+    labels = records["label"].astype(np.int64)
+    if (labels >= len(man.class_names)).any():
+        raise CacheError(f"{path}: a label is outside the {len(man.class_names)} classes")
+    points = records["points"].copy()
+    return (PointDataset(points[:n_train], labels[:n_train], man.class_names),
+            PointDataset(points[n_train:], labels[n_train:], man.class_names), man)
 
 
 def load_dataset(cache_dir) -> tuple[PointDataset, PointDataset, DatasetManifest]:
-    cache = Path(cache_dir)
-    manifest = DatasetManifest.read(cache / "manifest.json")
-    names = manifest.class_names
-    tr_p, tr_l, _ = cache_read(cache / "train.sapc")
-    te_p, te_l, _ = cache_read(cache / "test.sapc")
-    if max(tr_l.max(initial=0), te_l.max(initial=0)) >= len(names):
-        raise CacheError(f"{cache}: a cached label is outside the manifest's {len(names)} classes")
-    return (PointDataset(tr_p, tr_l, names), PointDataset(te_p, te_l, names), manifest)
+    """The dataset that `ingest_modelnet40` cached in the directory `cache_dir`."""
+    return cache_read(Path(cache_dir) / CACHE_NAME)
 
 
 # --- ModelNet40-style directory ingestion ---
 
 def ingest_modelnet40(root, points_per_cloud: int = 1024,
                       seed: int = 7) -> tuple[PointDataset, PointDataset, DatasetManifest]:
-    """Sample `<root>/<class>/{train,test}/*.off` into the binary cache `<root>/sapc_cache`.
+    """Sample `<root>/<class>/{train,test}/*.off` into the cache `<root>/sapc_cache/dataset.sapc`.
 
     Class labels follow the lexicographic order of the class directories.
-    The cache is reused when its manifest matches (same points and seed).
+    The cache is reused when its cloud size and seed match; otherwise the meshes are
+    sampled again and the file is replaced whole, so an interrupted write keeps the old one.
     """
     root = Path(root)
     if not root.is_dir():
         raise CacheError(f"dataset directory {root} not found")
-    cache = root / "sapc_cache"
-    man_path = cache / "manifest.json"
-    if man_path.exists():
-        manifest = DatasetManifest.read(man_path)
-        if manifest.points_per_cloud == points_per_cloud and manifest.seed == seed:
-            return load_dataset(cache)
-    classes = sorted(d.name for d in root.iterdir() if d.is_dir() and d.name != cache.name)
+    cache = root / "sapc_cache" / CACHE_NAME
+    if cache.exists():
+        train, test, manifest = cache_read(cache)
+        if train.points.shape[1] == points_per_cloud and manifest.seed == seed:
+            return train, test, manifest
+    classes = sorted(d.name for d in root.iterdir()
+                     if d.is_dir() and d.name != cache.parent.name)
     if not classes:
         raise CacheError(f"no class directories under {root}")
     rng = substream(seed, 102)
@@ -332,6 +324,7 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024,
         raise CacheError(f"no .off files found under {root}")
     train = PointDataset(np.stack(tr_p), np.array(tr_l, np.int64), classes)
     test = PointDataset(np.stack(te_p), np.array(te_l, np.int64), classes)
-    manifest = DatasetManifest(classes, tr_i, te_i, points_per_cloud, seed)
-    save_dataset(cache, train, test, manifest)
+    manifest = DatasetManifest(classes, tr_i, te_i, seed)
+    cache.parent.mkdir(exist_ok=True)
+    cache_write(cache, train, test, manifest)
     return train, test, manifest

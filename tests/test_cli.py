@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
                          cmd_sweep_density, cmd_train, config_from_ini,
                          config_to_ini, evaluate, load_checkpoint, load_datasets,
                          main, save_checkpoint)
+from mulfree.data import ingest_modelnet40, load_dataset
 from mulfree.errors import CacheError, ConfigError, MulfreeError
 from mulfree.framing import frame, write_framed
 from mulfree.models import ModelConfig, build_model
@@ -288,7 +290,20 @@ class TestMeshDirectoryTraining:
         model, _ = load_checkpoint(out / "ckpt_last.bin")
         assert dict(model.stages)["head_out"].w.data.shape == (2, 8)  # one row per class
         assert "num_classes" not in (out / "config.ini").read_text()
-        assert (tmp_path / "meshes" / "sapc_cache" / "train.sapc").exists()
+        assert [p.name for p in (tmp_path / "meshes" / "sapc_cache").iterdir()] == ["dataset.sapc"]
+
+    def test_clouds_past_the_uint16_range_train_and_cache(self, tmp_path):
+        from test_data import make_fake_modelnet
+        make_fake_modelnet(tmp_path / "meshes")
+        argv = ["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--points", "70000",
+                "--epochs", "0", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        train, test, manifest = load_dataset(tmp_path / "meshes" / "sapc_cache")
+        assert train.points.shape == (6, 70000, 3) and test.points.shape == (4, 70000, 3)
+        shutil.rmtree(tmp_path / "meshes" / "sapc_cache")
+        for got, want in zip((train, test), ingest_modelnet40(tmp_path / "meshes", 70000, 7)):
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.labels, want.labels)
 
 
 class TestDiagnostics:
@@ -646,7 +661,7 @@ class TestMainEntry:
         assert len(printed) == 3  # embed1, embed3, encoder1 are the sa shift layers
 
     def test_corrupt_manifest_exits_with_message(self, tmp_path, capsys):
-        from test_data import QUAD_OFF
+        from test_data import QUAD_OFF, reseal_cache
         for split in ("train", "test"):
             d = tmp_path / "meshes" / "slab" / split
             d.mkdir(parents=True)
@@ -654,13 +669,16 @@ class TestMainEntry:
         argv = ["train", "--data", f"modelnet40:{tmp_path / 'meshes'}", "--epochs", "0",
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 0
-        manifest = tmp_path / "meshes" / "sapc_cache" / "manifest.json"
-        for text in (manifest.read_text()[:40], '{"seed": 7}'):
-            manifest.write_text(text)
+        cache = tmp_path / "meshes" / "sapc_cache" / "dataset.sapc"
+        blob = cache.read_bytes()
+        for corrupt in (lambda: cache.write_bytes(blob[:40]),
+                        lambda: reseal_cache(cache, lambda _, rec: (b'{"seed": 7}', rec))):
+            corrupt()
             capsys.readouterr()
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and str(manifest) in err
+            assert err.startswith("error: ") and str(cache) in err
+            cache.write_bytes(blob)
 
     def test_flag_error_under_a_config_file_names_no_file(self, tmp_path, capsys):
         ini = tmp_path / "base.ini"

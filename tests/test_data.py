@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 import zlib
 
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mulfree import data
-from mulfree.data import (MeshOff, augment, cache_read, cache_write,
-                          ingest_modelnet40, load_dataset, normalize_cloud,
-                          parse_off, read_off, sample_mesh, save_dataset,
-                          subsample_density, synth_shapes)
+from mulfree.data import (DatasetManifest, MeshOff, PointDataset, augment, cache_read,
+                          cache_write, ingest_modelnet40, load_dataset, normalize_cloud,
+                          parse_off, read_off, sample_mesh, subsample_density,
+                          synth_shapes)
 from mulfree.errors import (CacheError, DegenerateCloudError, DimensionError,
                             MeshError)
 from mulfree.tensor import make_rng
@@ -254,20 +256,31 @@ class TestSynthShapes:
         np.testing.assert_array_equal(fast.points, slow.points)
 
 
+def reseal_cache(path, edit):
+    """Rewrite the cache at path: edit(manifest text, records bytes) returns new ones,
+    written back behind a fresh header and CRC."""
+    blob = path.read_bytes()
+    version, n, text_len = struct.unpack_from("<HQI", blob, 4)
+    text, records = edit(blob[18 : 18 + text_len], blob[18 + text_len : -4])
+    body = struct.pack("<HQI", version, n, len(text)) + text + records
+    path.write_bytes(b"SAPC" + body + struct.pack("<I", zlib.crc32(body)))
+
+
 class TestCache:
     def test_roundtrip_bit_exact(self, tmp_path):
-        train, _, _ = synth_shapes(4, 64, seed=1)
-        path = tmp_path / "train.sapc"
-        cache_write(path, train.points, train.labels, 4)
-        pts, labels, n_classes = cache_read(path)
-        np.testing.assert_array_equal(pts, train.points)
-        np.testing.assert_array_equal(labels, train.labels)
-        assert n_classes == 4
+        train, test, manifest = synth_shapes(4, 64, seed=1)
+        path = tmp_path / "ds.sapc"
+        cache_write(path, train, test, manifest)
+        tr, te, man = cache_read(path)
+        for got, want in ((tr, train), (te, test)):
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.class_names == want.class_names
+        assert man == manifest
 
     def test_corrupted_byte_raises(self, tmp_path):
-        train, _, _ = synth_shapes(2, 64, seed=2)
         path = tmp_path / "c.sapc"
-        cache_write(path, train.points, train.labels, 4)
+        cache_write(path, *synth_shapes(2, 64, seed=2))
         blob = bytearray(path.read_bytes())
         blob[40] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -275,50 +288,74 @@ class TestCache:
             cache_read(path)
 
     def test_truncation_raises(self, tmp_path):
-        train, _, _ = synth_shapes(2, 64, seed=2)
         path = tmp_path / "t.sapc"
-        cache_write(path, train.points, train.labels, 4)
+        cache_write(path, *synth_shapes(2, 64, seed=2))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CacheError):
             cache_read(path)
 
     def test_empty_dataset_header_only(self, tmp_path):
         path = tmp_path / "empty.sapc"
-        cache_write(path, np.zeros((0, 0, 3), np.float32), np.zeros(0, np.int64), 0)
-        pts, labels, _ = cache_read(path)
-        assert len(labels) == 0 and pts.shape[0] == 0
+        empty = PointDataset(np.zeros((0, 0, 3), np.float32), np.zeros(0, np.int64), [])
+        cache_write(path, empty, empty, DatasetManifest([], [], [], 0))
+        tr, te, _ = cache_read(path)
+        assert len(tr) == len(te) == 0 and tr.points.shape == (0, 0, 3)
+
+    def test_id_count_and_label_are_checked_against_the_records(self, tmp_path):
+        path = tmp_path / "ds.sapc"
+
+        def drop(key, keep):
+            def edit(text, records):
+                man = json.loads(text)
+                return json.dumps({**man, key: man[key][keep]}).encode(), records
+            return edit
+
+        for edit, message in ((drop("train_ids", slice(1, None)),
+                               "records are not one 64-point cloud"),
+                              (drop("class_names", slice(-1)), "label is outside the 3 classes")):
+            cache_write(path, *synth_shapes(3, 64, seed=2))
+            reseal_cache(path, edit)
+            with pytest.raises(CacheError, match=f"{re.escape(str(path))}: .*{message}"):
+                cache_read(path)
 
     @staticmethod
-    def struct_writer(points, labels, n_classes):
-        """The SAPC bytes of a per-record struct writer, kept as the oracle."""
-        points = np.ascontiguousarray(points, dtype=np.float32)
-        count = len(labels)
-        body = bytearray(struct.pack("<HIHH", 1, count, n_classes,
-                                     points.shape[1] if count else 0))
-        for i in range(count):
-            body += struct.pack("<H", int(labels[i])) + points[i].tobytes()
+    def struct_writer(train, test, manifest):
+        """The SAPC bytes of a per-record struct writer, kept as the oracle: header,
+        manifest JSON, then one label+points record per cloud, train before test."""
+        text = json.dumps(vars(manifest)).encode()
+        body = bytearray(struct.pack("<HQI", 2, train.points.shape[1], len(text)) + text)
+        for ds in (train, test):
+            points = np.ascontiguousarray(ds.points, dtype=np.float32)
+            for i in range(len(ds)):
+                body += struct.pack("<H", int(ds.labels[i])) + points[i].tobytes()
         return b"SAPC" + bytes(body) + struct.pack("<I", zlib.crc32(body))
 
     def test_bytes_equal_per_record_struct_writer(self, tmp_path):
-        train, test, _ = synth_shapes(5, 64, seed=3)
-        _, empty, _ = synth_shapes(1, 64, seed=3)  # one cloud per class leaves no test split
-        wide = make_rng(11).standard_normal((3, 7, 3))  # float64 input, labels past 255
-        cases = [(train.points, train.labels, 4), (test.points, test.labels, 4),
-                 (empty.points, empty.labels, 4), (wide, np.array([0, 300, 65535]), 40)]
-        for points, labels, n_classes in cases:
-            path = tmp_path / "split.sapc"
-            cache_write(path, points, labels, n_classes)
-            oracle = self.struct_writer(points, labels, n_classes)
-            assert path.read_bytes() == oracle
-            pts, labs, _ = cache_read(path)
-            np.testing.assert_array_equal(pts, np.asarray(points, np.float32).reshape(pts.shape))
-            np.testing.assert_array_equal(labs, labels)
-            assert pts.dtype == np.float32 and labs.dtype == np.int64
-            assert pts.flags.writeable and pts.flags.c_contiguous
+        train, test, manifest = synth_shapes(5, 64, seed=3)
+        lone = synth_shapes(1, 64, seed=3)  # one cloud per class leaves no test split
+        names = [f"c{i}" for i in range(65536)]  # labels past 255, up to the uint16 limit
+        wide = PointDataset(make_rng(11).standard_normal((3, 7, 3)),  # float64 input
+                            np.array([0, 300, 65535]), names)
+        none = PointDataset(np.zeros((0, 7, 3)), np.zeros(0, np.int64), names)
+        cases = [(train, test, manifest), lone,
+                 (wide, none, DatasetManifest(names, ["a", "b", "c"], [], 11))]
+        for case in cases:
+            path = tmp_path / "ds.sapc"
+            cache_write(path, *case)
+            assert path.read_bytes() == self.struct_writer(*case)
+            for got, want in zip(cache_read(path), case):
+                if isinstance(want, DatasetManifest):
+                    assert got == want
+                    continue
+                np.testing.assert_array_equal(got.points, np.asarray(want.points, np.float32))
+                np.testing.assert_array_equal(got.labels, want.labels)
+                assert got.points.dtype == np.float32 and got.labels.dtype == np.int64
+                assert got.points.flags.writeable and got.points.flags.c_contiguous
 
     def test_dataset_dir_roundtrip(self, tmp_path):
         train, test, manifest = synth_shapes(4, 64, seed=5)
-        save_dataset(tmp_path / "ds", train, test, manifest)
+        (tmp_path / "ds").mkdir()
+        cache_write(tmp_path / "ds" / data.CACHE_NAME, train, test, manifest)
         tr, te, man = load_dataset(tmp_path / "ds")
         np.testing.assert_array_equal(tr.points, train.points)
         np.testing.assert_array_equal(te.labels, test.labels)
@@ -344,6 +381,11 @@ class TestModelNetIngestion:
         # airplane sorts first, so it owns label 0
         first_airplane = manifest.train_ids.index("airplane/train/airplane_0000.off")
         assert train.labels[first_airplane] == 0
+        tr, te, man = load_dataset(tmp_path / "sapc_cache")
+        assert man == manifest and tr.class_names == te.class_names == manifest.class_names
+        for got, want in ((tr, train), (te, test)):
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_cache_reused(self, tmp_path):
         make_fake_modelnet(tmp_path)
@@ -351,6 +393,25 @@ class TestModelNetIngestion:
         (tmp_path / "chair" / "train" / "chair_0000.off").unlink()  # cache must win
         b_train, _, _ = ingest_modelnet40(tmp_path, points_per_cloud=128, seed=4)
         np.testing.assert_array_equal(a_train.points, b_train.points)
+
+    def test_interrupted_reingest_keeps_the_previous_cache(self, tmp_path, monkeypatch):
+        make_fake_modelnet(tmp_path)
+        ingest_modelnet40(tmp_path, points_per_cloud=64, seed=4)
+        write_framed = data.write_framed
+
+        def interrupted(path, magic, parts):
+            def first_part_then_interrupt():
+                yield parts[0]
+                raise KeyboardInterrupt
+            write_framed(path, magic, first_part_then_interrupt())
+
+        monkeypatch.setattr(data, "write_framed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ingest_modelnet40(tmp_path, points_per_cloud=32, seed=4)
+        monkeypatch.undo()
+        train, test, _ = ingest_modelnet40(tmp_path, points_per_cloud=64, seed=4)
+        assert train.points.shape == (6, 64, 3) and test.points.shape == (4, 64, 3)
+        assert [p.name for p in (tmp_path / "sapc_cache").iterdir()] == [data.CACHE_NAME]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CacheError):

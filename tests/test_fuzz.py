@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from mulfree.cli import (RunConfig, config_from_ini, config_to_ini, load_checkpoint,
                          save_checkpoint)
-from mulfree.data import (cache_read, cache_write, load_dataset, parse_off, save_dataset,
-                          synth_shapes)
+from mulfree.data import (CACHE_NAME, DatasetManifest, PointDataset, cache_read, cache_write,
+                          load_dataset, parse_off, synth_shapes)
 from mulfree.errors import CacheError, MulfreeError
 from mulfree.framing import frame
 from mulfree.layers import quantize_shift
 from mulfree.models import build_model
 from mulfree.shiftquant import pack_weights, unpack_weights
 from mulfree.tensor import substream
+from test_data import reseal_cache
 
 FUZZ = settings(deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -107,7 +108,11 @@ def framed(request, tmp_path_factory):
         s, p, _ = quantize_shift(substream(0, 1).uniform(-1, 1, (3, 5)).astype(np.float32))
         return pack_weights(s, p), unpack_weights
     path = tmp_path_factory.mktemp("sapc") / "tiny.sapc"
-    cache_write(path, substream(0, 2).standard_normal((3, 4, 3)), np.arange(3), 3)
+    names = ["a", "b", "c"]
+    clouds = substream(0, 2).standard_normal((4, 4, 3))
+    cache_write(path, PointDataset(clouds[:3], np.arange(3), names),
+                PointDataset(clouds[3:], np.array([1]), names),
+                DatasetManifest(names, ["a/0", "b/0", "c/0"], ["b/1"], 0))
 
     def decode(blob):
         path.write_bytes(blob)
@@ -168,15 +173,22 @@ def test_config_from_ini_mutations(muts, cut):
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
-    """(directory, manifest bytes) of a saved tiny synthetic dataset."""
+    """(directory, embedded manifest bytes) of a cached tiny synthetic dataset."""
     path = tmp_path_factory.mktemp("dataset")
-    save_dataset(path, *synth_shapes(3, 64, seed=0))
-    return path, (path / "manifest.json").read_bytes()
+    cache_write(path / CACHE_NAME, *synth_shapes(3, 64, seed=0))
+    blob = (path / CACHE_NAME).read_bytes()
+    (text_len,) = struct.unpack_from("<I", blob, 14)  # after magic, version and cloud size
+    return path, blob[18 : 18 + text_len]
+
+
+def with_manifest(path, text):
+    """Replace the cache's embedded manifest by text, resealed."""
+    reseal_cache(path, lambda _, records: (text, records))
 
 
 def load_with_manifest(dataset_dir, blob):
     path, _ = dataset_dir
-    (path / "manifest.json").write_bytes(blob)
+    with_manifest(path / CACHE_NAME, blob)
     try:
         load_dataset(path)
     except MulfreeError:
@@ -206,6 +218,8 @@ def test_manifest_truncations(dataset_dir, cut):
 def test_manifest_errors_name_the_file(dataset_dir):
     path, blob = dataset_dir
     for bad in (blob[:40], b"\xff", b'{"seed": 7}', b"[1, 2]", blob.replace(b'"cube"', b"7")):
-        (path / "manifest.json").write_bytes(bad)
-        with pytest.raises(CacheError, match="manifest.json"):
+        with_manifest(path / CACHE_NAME, bad)
+        with pytest.raises(CacheError, match=f"{CACHE_NAME}: malformed manifest"):
             load_dataset(path)
+    with_manifest(path / CACHE_NAME, blob)
+    load_dataset(path)
