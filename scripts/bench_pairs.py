@@ -11,9 +11,12 @@ ends. The summary is one Markdown table row in the layout of CHANGES.md:
 per end-to-end metric of the change's BENCHMARK.json, the parent's and the
 change's median [q1, q3], the change in per cent, and the pairs the change
 won (ties count for neither side, and a pair where either side crashed
-counts against the change); then each side's correctness. Each run's
-minor page faults (those of the run's whole process tree) are printed with
-it and kept in the row as a side record, not as a metric. `--json PATH`
+counts against the change); then each side's correctness. Three side
+records are printed with each run and kept in the row, not as metrics:
+the minor page faults and the user plus system CPU seconds of the run's
+whole process tree, and the host's steal ticks during the run (from the
+`cpu ` line of /proc/stat, read before and after it; time the host gave
+this machine's virtual CPUs to others). `--json PATH`
 also writes that row as JSON (see `summary_json`). A gain meets
 the benchmark's rule when at least 10 pairs ran, the change won at least
 nine tenths of them, and the medians differ by more than the parent's
@@ -31,20 +34,41 @@ import sys
 from pathlib import Path
 
 
+SIDE_RECORDS = ("minor_faults", "cpu_s", "steal_ticks")
+
+
+def steal_ticks() -> int | None:
+    """The host's steal ticks since boot, the eighth value of the `cpu ` line
+    of /proc/stat; None where that file cannot be read."""
+    try:
+        with open("/proc/stat") as fh:
+            for line in fh:
+                if line.startswith("cpu "):
+                    return int(line.split()[8])
+    except OSError:
+        pass
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple[dict | None, int]:
+             seconds: float) -> tuple[dict | None, dict]:
     """One benchmark run in `checkout`: its final JSON line, or None if it
-    failed, and the minor page faults of the run and every process it waited for."""
+    failed, and its side records (`SIDE_RECORDS`): the minor page faults and
+    CPU seconds of the run and every process it waited for, and the host's
+    steal ticks during the run (None if /proc/stat cannot be read)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    before, steal = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    after, steal_after = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
+    side = {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+            "steal_ticks": None if None in (steal, steal_after) else steal_after - steal}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        return None, faults
-    return json.loads(lines[-1]), faults
+        return None, side
+    return json.loads(lines[-1]), side
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -110,18 +134,27 @@ def values(runs: list[dict | None], name: str) -> list[float | None]:
             for r in runs]
 
 
+def side_record(runs: list[float | None]) -> dict:
+    """One side record over a side's runs in pair order, with the median of
+    those measured (null when none was)."""
+    measured = [v for v in runs if v is not None]
+    return {"runs": runs, "median": statistics.median(measured) if measured else None}
+
+
 def summary_json(bench: dict, workload: str, seeds: list[int],
-                 runs: dict[str, list[dict | None]], faults: dict[str, list[int]]) -> dict:
+                 runs: dict[str, list[dict | None]],
+                 sides: dict[str, dict[str, list[float | None]]]) -> dict:
     """The summary row as data: `compare` per end-to-end metric (null when no
-    pair is complete), the seeds in pair order, each side's correctness and
-    each side's minor faults per run in pair order, with their median."""
+    pair is complete), the seeds in pair order, each side's correctness, and
+    per side record of `sides` (`sides[record][side]`, one value per run in
+    pair order) each side's runs with their median."""
     return {"workload": workload, "pairs": len(seeds), "seeds": seeds,
             "metrics": {m["name"]: compare(m["better"], values(runs["parent"], m["name"]),
                                            values(runs["change"], m["name"]))
                         for m in bench["end_to_end"]},
             "correctness": {side: correctness(runs[side]) for side in ("parent", "change")},
-            "minor_faults": {side: {"runs": faults[side], "median": statistics.median(faults[side])}
-                             for side in ("parent", "change")}}
+            **{record: {side: side_record(sides[record][side]) for side in ("parent", "change")}
+               for record in sides}}
 
 
 def main(argv=None) -> int:
@@ -142,21 +175,23 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict | None]] = {"parent": [], "change": []}
-    faults: dict[str, list[int]] = {"parent": [], "change": []}
+    records = {r: {"parent": [], "change": []} for r in SIDE_RECORDS}
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res, flt = run_once(sides[side], args.workload, seed, seconds)
+            res, rec = run_once(sides[side], args.workload, seed, seconds)
             runs[side].append(res)
-            faults[side].append(flt)
+            for r in SIDE_RECORDS:
+                records[r][side].append(rec[r])
             shown = "crashed" if res is None else " ".join(
                 f"{k}={fmt(v['value'])}" for k, v in res["metrics"].items())
             ok = "" if res is None else f" correct={res['correct']} failed={res['failed']}"
-            print(f"pair {i} seed {seed} {side}: {shown}{ok} minor_faults={flt}", flush=True)
+            print(f"pair {i} seed {seed} {side}: {shown}{ok} minor_faults={rec['minor_faults']} "
+                  f"cpu_s={rec['cpu_s']:.2f} steal_ticks={rec['steal_ticks']}", flush=True)
 
     row = summary_json(bench, args.workload,
-                       list(range(args.seed0, args.seed0 + args.pairs)), runs, faults)
+                       list(range(args.seed0, args.seed0 + args.pairs)), runs, records)
     names = [m["name"] for m in bench["end_to_end"]]
     seeds = f"seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
     print()
@@ -165,8 +200,9 @@ def main(argv=None) -> int:
     print(f"| {args.workload} | {args.pairs}, {seeds} | "
           + " | ".join(fmt_compare(row["metrics"][n]) for n in names) + " |")
     for side in ("parent", "change"):
-        print(f"{side}: {fmt_correctness(row['correctness'][side])}, "
-              f"median {row['minor_faults'][side]['median']:g} minor faults per run")
+        medians = ", ".join(f"{r} {'n/a' if m is None else f'{m:g}'}" for r in SIDE_RECORDS
+                            for m in [row[r][side]["median"]])
+        print(f"{side}: {fmt_correctness(row['correctness'][side])}; median per run: {medians}")
     if args.json:
         args.json.write_text(json.dumps(row, indent=1) + "\n")
     return 0

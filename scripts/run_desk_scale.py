@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Train all four variants on the synthetic desk-scale dataset and write
-every report: density sweep, gradient RMS table, and exports. There is no
-separate `eval`: the sweep's first row is the full-size eval report.
-Stops at the first command that fails and exits with its code."""
+every report: accuracy at 256/128/64/32 points (the 256 row is the
+full-size report), gradient RMS table, and exports. Stops at the first
+command that fails and exits with its code."""
 
 import argparse
 import sys
@@ -19,7 +19,7 @@ def commands(args):
         yield ["train", "--variant", variant, "--data", "synthetic",
                "--epochs", str(args.epochs), "--seed", str(args.seed), "--out", str(out)]
         ckpt = str(out / "ckpt_best.bin")
-        yield ["sweep-density", "--ckpt", ckpt, "--out", str(out)]
+        yield ["eval", "--ckpt", ckpt, "--densities", "256,128,64,32", "--out", str(out)]
         yield ["grad-report", "--ckpt", ckpt, "--batches", "4", "--out", str(out)]
         yield ["export", "--ckpt", ckpt, "--what", "weights_hist", "--out", str(out / "exports")]
         yield ["export", "--ckpt", ckpt, "--what", "features", "--out", str(out / "exports")]

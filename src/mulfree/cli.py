@@ -1,4 +1,4 @@
-"""Command-line harness: train, eval, grad-report, export, sweep-density.
+"""Command-line harness: train, eval, grad-report, export.
 
 A run directory holds the resolved config (written before training), a
 line-delimited metrics file, and best/last checkpoints in a self-contained
@@ -27,7 +27,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import shiftquant
-from .data import PointDataset, augment, ingest_modelnet40, subsample_density, synth_shapes
+from .data import (MAX_CLOUD_POINTS, PointDataset, augment, ingest_modelnet40,
+                   subsample_density, synth_shapes)
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import unframe, write_framed
 from .layers import AdderLinear, ShiftLinear
@@ -92,6 +93,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.eta is None or not 0 < self.eta < math.inf:
             raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
+        if self.points is not None and self.points > MAX_CLOUD_POINTS:
+            raise ConfigError(f"points must be <= {MAX_CLOUD_POINTS}, the largest cloud a "
+                              f"cache record holds, got {self.points}")
         self.model_config()  # ModelConfig checks the architecture
 
     def source(self) -> str:
@@ -406,16 +410,18 @@ def _density_report(ckpt, model, cfg: RunConfig, test_ds: PointDataset,
             "accuracy": acc, "per_class": per_class}
 
 
-def cmd_eval(ckpt, data: str | None = None, density: int | None = None,
+def cmd_eval(ckpt, data: str | None = None, densities=None,
              seed: int | None = None, out=None, batch_size: int | None = None):
+    """One report per density (default: the cloud size), printed as one JSON
+    line each and, with `out`, written to `out/eval.jsonl`; returns the reports."""
     model, cfg, seed = _open_checkpoint(ckpt, data, seed, batch_size)
     _, test_ds, _ = load_datasets(cfg)
-    report = _density_report(ckpt, model, cfg, test_ds, density, seed)
-    text = json.dumps(report, indent=1)
-    print(text)
+    reports = [_density_report(ckpt, model, cfg, test_ds, d, seed) for d in densities or [None]]
+    text = "".join(json.dumps(r) + "\n" for r in reports)
+    print(text, end="")
     if out:
-        _write(out, f"eval_d{report['density']}.json", text)
-    return report
+        _write(out, "eval.jsonl", text)
+    return reports
 
 
 def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
@@ -502,28 +508,13 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
         for name, layer in shift_layers:
             layer.quantize()
             path = out / f"{name}.saq1"
-            shiftquant.write_packed(path, layer.s, layer.p)
+            path.write_bytes(shiftquant.pack_weights(layer.s, layer.p))
             written.append(path)
     else:
         raise ConfigError(f"unknown export kind {what!r}")
     for path in written:
         print(path)
     return written
-
-
-def cmd_sweep_density(ckpt, data: str | None = None, densities=None,
-                      seed: int | None = None, out=None):
-    model, cfg, seed = _open_checkpoint(ckpt, data, seed)
-    _, test_ds, _ = load_datasets(cfg)
-    if densities is None:  # the cached cloud size and three halvings
-        densities = [test_ds.points.shape[1] >> i for i in range(4)]
-    reports = [_density_report(ckpt, model, cfg, test_ds, d, seed) for d in densities]
-    print(f"{'density':>8} {'accuracy':>9}")
-    for r in reports:
-        print(f"{r['density']:>8} {r['accuracy']:>9.4f}")
-    if out:
-        _write(out, "density_sweep.jsonl", "".join(json.dumps(r) + "\n" for r in reports))
-    return reports
 
 
 def _train(config=None, **overrides):
@@ -539,13 +530,13 @@ def _train(config=None, **overrides):
     print(f"run directory: {cmd_train(replace(cfg, **overrides))}")
 
 
-def _sweep(densities=None, **kwargs):
-    """`sweep-density`: --densities is a comma-separated list of point counts."""
+def _eval(densities=None, **kwargs):
+    """`eval`: --densities is a comma-separated list of point counts."""
     try:
         parsed = tuple(int(v) for v in densities.split(",")) if densities else None
     except ValueError as exc:
         raise ConfigError(f"--densities {densities!r}: {exc}") from exc
-    cmd_sweep_density(densities=parsed, **kwargs)
+    cmd_eval(densities=parsed, **kwargs)
 
 
 # --- argument parsing ---
@@ -578,10 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--synth-per-class", type=int)
     t.add_argument("--points", type=int)
 
-    e = sub.add_parser("eval", help="accuracy report for a checkpoint")
-    e.set_defaults(run=cmd_eval)
+    e = sub.add_parser("eval", help="accuracy report per point density for a checkpoint")
+    e.set_defaults(run=_eval)
     e.add_argument("--ckpt", required=True)
-    e.add_argument("--density", type=int, default=None, help="default: the cached cloud size")
+    e.add_argument("--densities", default=None,
+                   help="comma-separated point counts (default: the cached cloud size)")
     e.add_argument("--batch-size", type=int, default=None)
     _add_common(e)
 
@@ -597,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--what", choices=("weights_hist", "features", "packed_shift"), required=True)
     x.add_argument("--data", default=None)
     x.add_argument("--out", required=True)
-
-    s = sub.add_parser("sweep-density", help="evaluate one checkpoint across densities")
-    s.set_defaults(run=_sweep)
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--densities", default=None,
-                   help="comma-separated point counts (default: cloud size, three halvings)")
-    _add_common(s)
     return p
 
 

@@ -23,6 +23,9 @@ from .tensor import substream
 CACHE_MAGIC = b"SAPC"
 CACHE_VERSION = 2
 CACHE_NAME = "dataset.sapc"
+# the largest cloud one SAPC record holds: numpy caps a record (a 2-byte label,
+# 12 bytes a point) at 2**31 - 1 bytes
+MAX_CLOUD_POINTS = (2**31 - 1 - 2) // 12  # 178,956,970
 
 SYNTH_CLASSES = ["cube", "disk", "planes", "sphere"]
 _CUBE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # the two free axes of each cube face
@@ -230,8 +233,8 @@ def synth_shapes(num_per_class: int, n_points: int,
 # --- binary cache ---
 
 def _cache_record(n: int) -> np.dtype:
-    """One packed SAPC record: a uint16 label, then n float32 (x, y, z) points.
-    numpy holds a record of at most 2**31 - 1 bytes, so n is below 178,956,971."""
+    """One packed SAPC record: a uint16 label, then n <= MAX_CLOUD_POINTS float32
+    (x, y, z) points."""
     return np.dtype([("label", "<u2"), ("points", "<f4", (n, 3))])
 
 
@@ -267,7 +270,7 @@ def cache_read(path) -> tuple[PointDataset, PointDataset, DatasetManifest]:
     except (ValueError, TypeError) as exc:
         raise CacheError(f"{path}: malformed manifest: {exc}") from exc
     n_train, n_test = len(man.train_ids), len(man.test_ids)
-    if 2 + 12 * n >= 2**31 or len(body) != off + (n_train + n_test) * (2 + 12 * n):
+    if n > MAX_CLOUD_POINTS or len(body) != off + (n_train + n_test) * (2 + 12 * n):
         raise CacheError(f"{path}: the records are not one {n}-point cloud for each of "
                          f"the {n_train} train and {n_test} test ids")
     records = np.frombuffer(body, _cache_record(n), n_train + n_test, off)

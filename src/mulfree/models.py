@@ -172,17 +172,6 @@ class PointCloudClassifier:
                  if isinstance(norm, BatchNorm) for a in ("running_mean", "running_var")]
         return [(p.name, p.data) for p in self.parameters()] + stats
 
-    def parameter_count(self, include_bias: bool = True) -> int:
-        total = 0
-        for p in self.parameters():
-            if not include_bias and p.name.endswith(".b"):
-                continue
-            total += p.data.size
-        return total
-
-    def kind_sequence(self) -> list[str]:
-        return [l.kind for _, l in self.instrumented_layers()]
-
     # --- forward / backward ---
 
     def forward(self, points: np.ndarray, train: bool = False,

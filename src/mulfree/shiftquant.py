@@ -96,16 +96,6 @@ def unpack_weights(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise EncodingError(f"SAQ1 shape {dims} is unusable") from exc
 
 
-def write_packed(path, s: np.ndarray, p: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_weights(s, p))
-
-
-def read_packed(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        return unpack_weights(fh.read())
-
-
 def to_fixed(x) -> np.ndarray:
     """Round to the nearest Q16.16 value (ties away from zero)."""
     x = np.asarray(x, dtype=np.float64)

@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from mulfree import cli, tensor
-from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report,
-                         cmd_sweep_density, cmd_train, config_from_ini,
-                         config_to_ini, evaluate, load_checkpoint, load_datasets,
-                         main, save_checkpoint)
+from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report, cmd_train,
+                         config_from_ini, config_to_ini, evaluate, load_checkpoint,
+                         load_datasets, main, save_checkpoint)
 from mulfree.data import ingest_modelnet40, load_dataset
 from mulfree.errors import CacheError, ConfigError, MulfreeError
 from mulfree.framing import frame, write_framed
 from mulfree.models import ModelConfig, build_model
-from mulfree.shiftquant import read_packed
+from mulfree.shiftquant import unpack_weights
 from mulfree.tensor import substream
 
 TINY = dict(data="synthetic", epochs=2, seed=3, synth_per_class=16, points=64)
@@ -153,7 +152,7 @@ class TestTrain:
 class TestEval:
     def test_full_density_matches_final_training_accuracy(self, sa_run):
         last = json.loads((sa_run / "metrics.jsonl").read_text().splitlines()[-1])
-        report = cmd_eval(sa_run / "ckpt_last.bin")
+        (report,) = cmd_eval(sa_run / "ckpt_last.bin")
         assert report["accuracy"] == last["test_acc"]
 
     def test_checkpoint_roundtrip_same_accuracy(self, sa_run):
@@ -162,46 +161,44 @@ class TestEval:
         acc1, _ = evaluate(model, test_ds, cfg.batch_size)
         model2, _ = load_checkpoint(sa_run / "ckpt_last.bin")
         acc2, _ = evaluate(model2, test_ds, cfg.batch_size)
-        assert acc1 == acc2 == cmd_eval(sa_run / "ckpt_last.bin")["accuracy"]
+        assert acc1 == acc2 == cmd_eval(sa_run / "ckpt_last.bin")[0]["accuracy"]
 
     def test_density_subsampling_and_repeatability(self, sa_run):
-        r1 = cmd_eval(sa_run / "ckpt_last.bin", density=32)
-        r2 = cmd_eval(sa_run / "ckpt_last.bin", density=32)
+        (r1,) = cmd_eval(sa_run / "ckpt_last.bin", densities=(32,))
+        (r2,) = cmd_eval(sa_run / "ckpt_last.bin", densities=(32,))
         assert r1["accuracy"] == r2["accuracy"]  # eval consumes no augmentation rng
         assert r1["density"] == 32
 
     def test_density_above_cache_errors(self, sa_run):
         with pytest.raises(ConfigError):
-            cmd_eval(sa_run / "ckpt_last.bin", density=128)
+            cmd_eval(sa_run / "ckpt_last.bin", densities=(128,))
 
     def test_per_class_report(self, sa_run, tmp_path):
-        report = cmd_eval(sa_run / "ckpt_last.bin", out=tmp_path)
+        (report,) = cmd_eval(sa_run / "ckpt_last.bin", out=tmp_path)
         assert set(report["per_class"]) == {"cube", "disk", "planes", "sphere"}
-        saved = json.loads((tmp_path / "eval_d64.json").read_text())
+        (saved,) = map(json.loads, (tmp_path / "eval.jsonl").read_text().splitlines())
         assert saved["accuracy"] == report["accuracy"]
 
-
-class TestSweep:
     def test_loads_checkpoint_once_with_per_density_eval_reports(self, sa_run, monkeypatch):
         ckpt, densities = sa_run / "ckpt_last.bin", (64, 48, 32)
         loads = []
         load = cli.load_checkpoint
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
-        reports = cmd_sweep_density(ckpt, densities=densities, seed=5)
+        reports = cmd_eval(ckpt, densities=densities, seed=5)
         assert loads == [ckpt]
-        assert reports == [cmd_eval(ckpt, density=d, seed=5) for d in densities]
+        # each density draws from its own stream: a row does not depend on the others
+        assert reports == [cmd_eval(ckpt, densities=(d,), seed=5)[0] for d in densities]
 
     def test_records_and_order(self, sa_run, tmp_path):
-        reports = cmd_sweep_density(sa_run / "ckpt_last.bin", densities=(64, 32),
-                                    out=tmp_path)
+        reports = cmd_eval(sa_run / "ckpt_last.bin", densities=(64, 32), out=tmp_path)
         assert [r["density"] for r in reports] == [64, 32]
-        lines = (tmp_path / "density_sweep.jsonl").read_text().splitlines()
+        lines = (tmp_path / "eval.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["density"] == 64
 
-    def test_default_densities_are_cloud_size_and_three_halvings(self, sa_run):
-        reports = cmd_sweep_density(sa_run / "ckpt_last.bin")
-        assert [r["density"] for r in reports] == [64, 32, 16, 8]
+    def test_default_density_is_the_cloud_size(self, sa_run):
+        reports = cmd_eval(sa_run / "ckpt_last.bin")
+        assert [r["density"] for r in reports] == [64]
 
 
 class TestGradReport:
@@ -248,7 +245,7 @@ class TestExport:
         assert {p.stem for p in paths} == shift_names
         # reloaded codes must match the checkpoint quantization exactly
         for path in paths:
-            s, p = read_packed(path)
+            s, p = unpack_weights(path.read_bytes())
             layer = dict(model.linear_layers())[path.stem]
             layer.quantize()
             np.testing.assert_array_equal(s, layer.s)
@@ -285,7 +282,7 @@ class TestMeshDirectoryTraining:
         out = tmp_path / "mesh_run"
         rc = main(["train", "--config", str(ini), "--out", str(out)])
         assert rc == 0
-        report = cmd_eval(out / "ckpt_last.bin")
+        (report,) = cmd_eval(out / "ckpt_last.bin")
         assert set(report["per_class"]) == {"slab", "tower"}
         model, _ = load_checkpoint(out / "ckpt_last.bin")
         assert dict(model.stages)["head_out"].w.data.shape == (2, 8)  # one row per class
@@ -620,12 +617,15 @@ class TestMainEntry:
         (["train", "--synth-per-class", "0"], "synth_per_class must be >= 1, got 0"),
         (["eval", "--batch-size", "-1"], "batch_size must be >= 1, got -1"),
         (["eval", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
-        (["eval", "--density", "32", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["eval", "--densities", "32", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["grad-report", "--seed", "-1"], "seed must be >= 0, got -1"),
-        (["sweep-density", "--densities", "abc"], "--densities 'abc'"),
-        (["sweep-density", "--densities", "64,,32"], "--densities '64,,32'"),
-        (["sweep-density", "--densities", "-5"], "density -5 outside [1, 64]"),
-        (["sweep-density", "--densities", "0"], "density 0 outside [1, 64]"),
+        (["eval", "--densities", "abc"], "--densities 'abc'"),
+        (["eval", "--densities", "64,,32"], "--densities '64,,32'"),
+        (["eval", "--densities", "-5"], "density -5 outside [1, 64]"),
+        (["eval", "--densities", "0"], "density 0 outside [1, 64]"),
+        (["train", "--points", "178956971"],
+         "points must be <= 178956970, the largest cloud a cache record holds"),
+        (["train", "--points", "10000000000000"], "points must be <= 178956970"),
         (["train", "--data", "foo"], "data must be synthetic or modelnet40:<dir>, got 'foo'"),
         (["train", "--data", "modelnet40x:/tmp"], "got 'modelnet40x:/tmp'"),
         (["train", "--variant", "foo"], "unknown variant 'foo'"),
@@ -640,17 +640,16 @@ class TestMainEntry:
         assert err.startswith("error: ") and message in err
 
     def test_eval_accepts_any_density_in_range(self, sa_run, capsys):
-        assert main(["eval", "--ckpt", str(sa_run / "ckpt_last.bin"), "--density", "48"]) == 0
+        assert main(["eval", "--ckpt", str(sa_run / "ckpt_last.bin"), "--densities", "48"]) == 0
         assert json.loads(capsys.readouterr().out)["density"] == 48
 
-    def test_sweep_density_subcommand_prints_table(self, sa_run, capsys, tmp_path):
-        rc = main(["sweep-density", "--ckpt", str(sa_run / "ckpt_last.bin"),
-                   "--out", str(tmp_path)])
+    def test_eval_densities_print_one_json_line_each(self, sa_run, capsys, tmp_path):
+        rc = main(["eval", "--ckpt", str(sa_run / "ckpt_last.bin"),
+                   "--densities", "64,32,16,8", "--out", str(tmp_path)])
         assert rc == 0
         rows = capsys.readouterr().out.splitlines()
-        assert rows[0].split() == ["density", "accuracy"]
-        assert [int(r.split()[0]) for r in rows[1:]] == [64, 32, 16, 8]
-        assert len((tmp_path / "density_sweep.jsonl").read_text().splitlines()) == 4
+        assert [json.loads(r)["density"] for r in rows] == [64, 32, 16, 8]
+        assert (tmp_path / "eval.jsonl").read_text().splitlines() == rows
 
     def test_export_subcommand_prints_paths(self, sa_run, capsys, tmp_path):
         rc = main(["export", "--ckpt", str(sa_run / "ckpt_last.bin"), "--what", "packed_shift",
@@ -728,8 +727,10 @@ class TestScripts:
 
         runs = {"parent": [run(100.0, 1.0), run(102.0, 1.0), run(98.0, 1.2)],
                 "change": [run(110.0, 0.9), None, run(99.0, 1.3, correct=False, failed=1)]}
-        faults = {"parent": [900, 700, 800], "change": [40, 12, 30]}
-        row = bench_pairs.summary_json(bench, "desk-train", [5, 6, 7], runs, faults)
+        sides = {"minor_faults": {"parent": [900, 700, 800], "change": [40, 12, 30]},
+                 "cpu_s": {"parent": [30.5, 29.0, 31.0], "change": [28.0, 2.5, 27.5]},
+                 "steal_ticks": {"parent": [0, 3, None], "change": [None, None, None]}}
+        row = bench_pairs.summary_json(bench, "desk-train", [5, 6, 7], runs, sides)
         row = json.loads(json.dumps(row, allow_nan=False))  # plain JSON, no NaN
         assert (row["workload"], row["pairs"], row["seeds"]) == ("desk-train", 3, [5, 6, 7])
         cps = row["metrics"]["clouds_per_s"]
@@ -744,11 +745,32 @@ class TestScripts:
         # a side record per run in pair order, crashed runs included; not a metric
         assert row["minor_faults"] == {"parent": {"runs": [900, 700, 800], "median": 800},
                                        "change": {"runs": [40, 12, 30], "median": 30}}
-        assert "minor_faults" not in row["metrics"]
+        assert row["cpu_s"] == {"parent": {"runs": [30.5, 29.0, 31.0], "median": 30.5},
+                                "change": {"runs": [28.0, 2.5, 27.5], "median": 27.5}}
+        # an unread steal counter is null and left out of the median
+        assert row["steal_ticks"] == {"parent": {"runs": [0, 3, None], "median": 1.5},
+                                      "change": {"runs": [None, None, None], "median": None}}
+        assert not {"minor_faults", "cpu_s", "steal_ticks"} & set(row["metrics"])
         crashed = bench_pairs.summary_json(bench, "x", [1], {"parent": [None], "change": [None]},
-                                           {"parent": [5], "change": [6]})
+                                           {"minor_faults": {"parent": [5], "change": [6]}})
         assert crashed["metrics"] == {"clouds_per_s": None, "setup_s": None}
         assert crashed["minor_faults"]["change"] == {"runs": [6], "median": 6}
+
+    def test_run_records_cpu_time_and_steal(self, tmp_path):
+        bench_pairs = _bench_pairs()
+        steal = bench_pairs.steal_ticks()
+        assert steal is None or steal >= 0
+        # a stand-in benchmark that burns CPU in a child of the run, then prints its line
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import subprocess, sys\n"
+            "subprocess.run([sys.executable, '-c', 'sum(range(3_000_000))'], check=True)\n"
+            "print('{\"metrics\": {}, \"correct\": true, \"failed\": 0}')\n")
+        res, side = bench_pairs.run_once(tmp_path, "w", 1, 0.1)
+        assert res == {"metrics": {}, "correct": True, "failed": 0}
+        assert set(side) == set(bench_pairs.SIDE_RECORDS)
+        assert side["cpu_s"] > 0 and side["minor_faults"] > 0
+        assert side["steal_ticks"] is None or side["steal_ticks"] >= 0
 
     @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
     def test_stops_at_the_first_failed_command(self, tmp_path, script):

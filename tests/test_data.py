@@ -16,6 +16,7 @@ from mulfree.data import (DatasetManifest, MeshOff, PointDataset, augment, cache
                           synth_shapes)
 from mulfree.errors import (CacheError, DegenerateCloudError, DimensionError,
                             MeshError)
+from mulfree.framing import frame
 from mulfree.tensor import make_rng
 
 TRI_OFF = """OFF
@@ -317,6 +318,20 @@ class TestCache:
             reseal_cache(path, edit)
             with pytest.raises(CacheError, match=f"{re.escape(str(path))}: .*{message}"):
                 cache_read(path)
+
+    def test_cloud_size_bound_is_the_largest_record_numpy_holds(self, tmp_path):
+        path = tmp_path / "ds.sapc"
+        text = json.dumps(vars(DatasetManifest([], [], [], 0))).encode()
+        for n in (data.MAX_CLOUD_POINTS, data.MAX_CLOUD_POINTS + 1):
+            path.write_bytes(frame(b"SAPC", struct.pack("<HQI", 2, n, len(text)) + text))
+            if n == data.MAX_CLOUD_POINTS:  # no clouds, so nothing is allocated
+                train, test, _ = cache_read(path)
+                assert train.points.shape == test.points.shape == (0, n, 3)
+            else:
+                with pytest.raises(CacheError, match=f"not one {n}-point cloud"):
+                    cache_read(path)
+                with pytest.raises(ValueError):  # numpy refuses the record itself
+                    data._cache_record(n)
 
     @staticmethod
     def struct_writer(train, test, manifest):

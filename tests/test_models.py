@@ -113,10 +113,11 @@ class TestStructure:
         assert names["mul"] == names["shift"] == names["add"] == names["sa"]
 
     def test_sa_interleave_in_model(self):
-        assert small("sa").kind_sequence() == ["shift", "adder", "shift", "adder", "shift", "adder"]
+        kinds = [l.kind for _, l in small("sa").instrumented_layers()]
+        assert kinds == ["shift", "adder", "shift", "adder", "shift", "adder"]
 
     def test_parameter_parity_excluding_bias(self):
-        counts = {v: small(v).parameter_count(include_bias=False)
+        counts = {v: sum(p.data.size for p in small(v).parameters() if not p.name.endswith(".b"))
                   for v in ("mul", "shift", "add", "sa")}
         assert len(set(counts.values())) == 1
 

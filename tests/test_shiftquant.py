@@ -10,9 +10,8 @@ from mulfree.framing import frame
 from mulfree.layers import quantize_shift
 from mulfree.shiftquant import (Q16_MAX, Q16_MIN, codes_from_sign_exp,
                                 fixed_shift_affine, from_fixed, pack_bits,
-                                pack_weights, read_packed, shift_affine_fixed,
-                                sign_exp_from_codes, to_fixed, unpack_bits,
-                                unpack_weights, write_packed)
+                                pack_weights, shift_affine_fixed, sign_exp_from_codes,
+                                to_fixed, unpack_bits, unpack_weights)
 from mulfree.tensor import affine_map, make_rng
 
 # every shift-layer (c_in, c_out) of the desk and default presets
@@ -101,15 +100,15 @@ class TestWeightStream:
         rng = make_rng(2)
         s, p, _ = quantize_shift(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         path = tmp_path / "w.saq1"
-        write_packed(path, s, p)
-        s2, p2 = read_packed(path)
+        path.write_bytes(pack_weights(s, p))
+        s2, p2 = unpack_weights(path.read_bytes())
         np.testing.assert_array_equal(s, s2)
         np.testing.assert_array_equal(p, p2)
         blob = bytearray(path.read_bytes())
         blob[16] ^= 0xFF  # flip a bitstream byte (the header is 16 bytes)
         path.write_bytes(bytes(blob))
         with pytest.raises(EncodingError):
-            read_packed(path)
+            unpack_weights(path.read_bytes())
 
     def test_crc_covers_the_shape(self):
         s, p, _ = quantize_shift(make_rng(2).uniform(-1, 1, (4, 4)).astype(np.float32))
