@@ -53,9 +53,10 @@ def steal_ticks() -> int | None:
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> tuple[dict | None, dict]:
     """One benchmark run in `checkout`: its final JSON line, or None if it
-    failed, and its side records (`SIDE_RECORDS`): the minor page faults and
-    CPU seconds of the run and every process it waited for, and the host's
-    steal ticks during the run (None if /proc/stat cannot be read)."""
+    failed or that line is not a JSON object with `metrics`, and its side
+    records (`SIDE_RECORDS`): the minor page faults and CPU seconds of the
+    run and every process it waited for, and the host's steal ticks during
+    the run (None if /proc/stat cannot be read)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     before, steal = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
@@ -65,10 +66,14 @@ def run_once(checkout: Path, workload: str, seed: int,
             "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
             "steal_ticks": None if None in (steal, steal_after) else steal_after - steal}
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    try:
+        res = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        res = None
+    if not isinstance(res, dict) or "metrics" not in res:
         sys.stderr.write(proc.stderr)
         return None, side
-    return json.loads(lines[-1]), side
+    return res, side
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:

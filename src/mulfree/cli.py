@@ -33,7 +33,7 @@ from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import unframe, write_framed
 from .layers import AdderLinear, ShiftLinear
 from .models import ModelConfig, build_model, knn_group
-from .optim import build_optimizers, modulate_gradient, route_parameters
+from .optim import ETA, build_optimizers, modulate_gradient, route_parameters
 from .tensor import softmax_cross_entropy, substream
 
 CKPT_MAGIC = b"SAMC"
@@ -69,12 +69,6 @@ class RunConfig:
     head_widths: tuple[int, ...] | None = None
     knn_k: int | None = None
     points: int | None = None
-    # optimizer
-    lr_adaptive_start: float = 1e-3
-    lr_adaptive_end: float = 1e-6
-    lr_modulated_start: float = 2e-2
-    lr_modulated_end: float = 2e-3
-    eta: float = 0.2
     # data: synthetic clouds per class; the class names, one head output each
     synth_per_class: int = 160
     class_names: tuple[str, ...] | None = None
@@ -87,12 +81,6 @@ class RunConfig:
         source, _, root = self.data.partition(":")
         if self.data != "synthetic" and not (source == "modelnet40" and root):
             raise ConfigError(f"data must be synthetic or modelnet40:<dir>, got {self.data!r}")
-        for key in ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
-                    "lr_modulated_end"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
-        if self.eta is None or not 0 < self.eta < math.inf:
-            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
         if self.points is not None and self.points > MAX_CLOUD_POINTS:
             raise ConfigError(f"points must be <= {MAX_CLOUD_POINTS}, the largest cloud a "
                               f"cache record holds, got {self.points}")
@@ -119,8 +107,6 @@ class RunConfig:
 _SECTIONS = {
     "run": ("variant", "data", "epochs", "batch_size", "seed", "augment"),
     "model": ("embed_widths", "encoder_widths", "head_widths", "knn_k", "points"),
-    "optim": ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
-              "lr_modulated_end", "eta"),
     "data": ("synth_per_class", "class_names"),
 }
 _HINTS = get_type_hints(RunConfig)
@@ -181,12 +167,19 @@ def _ini_value(hint, raw: str):
 # --- datasets ---
 
 def load_datasets(cfg: RunConfig):
+    """(train, test, manifest); classes other than the config's, when it names them,
+    raise ConfigError, since each head output stands for one named class."""
     points = cfg.model_config().points_in  # `points`, else 256 or 1024 by source
     if cfg.source() == "modelnet40":
-        return ingest_modelnet40(cfg.data.split(":", 1)[1], points, cfg.seed)
-    splits = synth_shapes(cfg.synth_per_class, points, cfg.seed)
-    if not len(splits[1]):
-        raise ConfigError(f"synth_per_class {cfg.synth_per_class} leaves the test split empty")
+        splits = ingest_modelnet40(cfg.data.split(":", 1)[1], points, cfg.seed)
+    else:
+        splits = synth_shapes(cfg.synth_per_class, points, cfg.seed)
+        if not len(splits[1]):
+            raise ConfigError(f"synth_per_class {cfg.synth_per_class} leaves the test split empty")
+    found = tuple(splits[0].class_names)
+    if cfg.class_names and found != cfg.class_names:
+        raise ConfigError(f"data {cfg.data} has classes {', '.join(found)}, but the config "
+                          f"names {', '.join(cfg.class_names)}")
     return splits
 
 
@@ -312,10 +305,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     _write(out_dir, "config.ini", config_text)
 
     model = build_model(model_cfg, substream(cfg.seed, 0))
-    optimizers = build_optimizers(route_parameters(model),
-                                  (cfg.lr_adaptive_start, cfg.lr_adaptive_end),
-                                  (cfg.lr_modulated_start, cfg.lr_modulated_end),
-                                  cfg.eta, max(epochs, 1))
+    optimizers = build_optimizers(route_parameters(model), max(epochs, 1))
     shuffle_rng = substream(cfg.seed, 1)
     augment_rng = substream(cfg.seed, 2)
 
@@ -427,7 +417,7 @@ def cmd_eval(ckpt, data: str | None = None, densities=None,
 def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
                     seed: int | None = None, out=None):
     """Per-layer RMS of raw weight gradients; adder layers also report the
-    post-modulation RMS (identically eta by construction). A non-finite
+    post-modulation RMS (identically ETA by construction). A non-finite
     loss raises TrainingDivergedError, as in training."""
     if batches < 0:
         raise ConfigError(f"batches must be >= 0, got {batches}")
@@ -444,7 +434,7 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
             for name, layer in model.instrumented_layers():
                 if isinstance(layer, AdderLinear):
                     mod[name] = mod.get(name, 0.0) + _grad_rms(
-                        modulate_gradient(layer.w.grad, cfg.eta))
+                        modulate_gradient(layer.w.grad, ETA))
     rows = [{"layer": name, "kind": layer.kind, "grad_rms": raw[name] / batches,
              "modulated_rms": (mod[name] / batches) if name in mod else None}
             for name, layer in model.instrumented_layers() if name in raw]

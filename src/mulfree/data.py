@@ -255,7 +255,8 @@ def cache_write(path, train: PointDataset, test: PointDataset,
 
 def cache_read(path) -> tuple[PointDataset, PointDataset, DatasetManifest]:
     """Read a dataset back. A bad frame, version or manifest, records that are not
-    one per id, or a label outside the class names raises CacheError naming the file."""
+    one per id, a label outside the class names or a non-finite point raises
+    CacheError naming the file."""
     body = unframe(Path(path).read_bytes(), CACHE_MAGIC, CacheError, f"{path}: SAPC cache",
                    min_body=14)
     version, n, text_len = struct.unpack_from("<HQI", body)
@@ -278,6 +279,8 @@ def cache_read(path) -> tuple[PointDataset, PointDataset, DatasetManifest]:
     if (labels >= len(man.class_names)).any():
         raise CacheError(f"{path}: a label is outside the {len(man.class_names)} classes")
     points = records["points"].copy()
+    if not np.isfinite(points).all():
+        raise CacheError(f"{path}: a point coordinate is not finite")
     return (PointDataset(points[:n_train], labels[:n_train], man.class_names),
             PointDataset(points[n_train:], labels[n_train:], man.class_names), man)
 

@@ -1,13 +1,15 @@
 """Per-layer-type optimization.
 
 Adder weights are updated with modulated SGD: the raw gradient is rescaled
-so its root-mean-square equals a fixed constant eta, which makes one
+so its root-mean-square equals the constant ETA, which makes one
 learning rate work across adder layers whose raw gradient magnitudes vary
 by orders of magnitude. Everything else (mul, shift, norm parameters) uses
-a bias-corrected first/second-moment optimizer. The RULES table maps each
-parameter's layer kind to its optimizer kind; `route_parameters` groups a
-model's parameters by it and `build_optimizers` pairs each group with its
-optimizer and a cosine-annealed learning rate.
+a bias-corrected first/second-moment optimizer. The whole recipe is the
+tables below: RULES maps each parameter's layer kind to its optimizer kind,
+RATES gives each optimizer kind its cosine learning-rate range, and ETA is
+the modulated gradient's RMS. `route_parameters` groups a model's
+parameters by RULES and `build_optimizers` pairs each group with its
+optimizer and its cosine-annealed rate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ log = logging.getLogger(__name__)
 # layer kind -> optimizer kind
 RULES = {"mul": "adaptive_moment", "shift": "adaptive_moment",
          "norm": "adaptive_moment", "adder": "modulated_sgd"}
+# optimizer kind -> (learning rate at epoch 0, at the last epoch)
+RATES = {"adaptive_moment": (1e-3, 1e-6), "modulated_sgd": (2e-2, 2e-3)}
+# RMS of every modulated adder gradient
+ETA = 0.2
 
 
 def modulate_gradient(g: np.ndarray, eta: float) -> np.ndarray:
@@ -125,29 +131,19 @@ class ModulatedSgd:
 
     kind = "modulated_sgd"
 
-    def __init__(self, params, eta: float):
+    def __init__(self, params):
         self.params = list(params)
-        self.eta = eta
 
     def step(self, lr: float):
         for p in self.params:
             if p.grad is None:
                 continue
             g = p.grad.astype(p.data.dtype, copy=False)
-            p.data = modulated_sgd_step(p.data, g, lr, self.eta)
+            p.data = modulated_sgd_step(p.data, g, lr, ETA)
 
 
-def build_optimizers(groups: dict[str, list], adaptive_lr, modulated_lr, eta: float,
-                     total_epochs: int) -> list:
-    """(optimizer, schedule) pairs for the routed groups, adaptive first.
-
-    The rates are (start, end) pairs; RunConfig checks them and eta.
-    """
-    out = []
-    if AdaptiveMoment.kind in groups:
-        out.append((AdaptiveMoment(groups[AdaptiveMoment.kind]),
-                    CosineSchedule(*adaptive_lr, total_epochs)))
-    if ModulatedSgd.kind in groups:
-        out.append((ModulatedSgd(groups[ModulatedSgd.kind], eta),
-                    CosineSchedule(*modulated_lr, total_epochs)))
-    return out
+def build_optimizers(groups: dict[str, list], total_epochs: int) -> list:
+    """(optimizer, schedule) pairs for the routed groups, adaptive first, each
+    annealed over its RATES range."""
+    return [(opt(groups[opt.kind]), CosineSchedule(*RATES[opt.kind], total_epochs))
+            for opt in (AdaptiveMoment, ModulatedSgd) if opt.kind in groups]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree import cli, tensor
+from mulfree import cli, optim, tensor
 from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report, cmd_train,
                          config_from_ini, config_to_ini, evaluate, load_checkpoint,
                          load_datasets, main, save_checkpoint)
@@ -38,14 +38,23 @@ def sa_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def slabs(tmp_path_factory):
+    """A ModelNet40-style directory whose one class, "slab", no synthetic run has."""
+    from test_data import QUAD_OFF
+    root = tmp_path_factory.mktemp("slabs")
+    for split in ("train", "test"):
+        (root / "slab" / split).mkdir(parents=True)
+        (root / "slab" / split / "quad.off").write_text(QUAD_OFF)
+    return root
+
+
 class TestConfigIni:
     def test_roundtrip(self):
         every = RunConfig(variant="add", data="modelnet40:/meshes", epochs=5, batch_size=8,
                           seed=11, augment=False, embed_widths=(4, 4, 8, 8),
                           encoder_widths=(8, 16), head_widths=(8, 4), knn_k=5,
-                          points=96, lr_adaptive_start=2e-3, lr_adaptive_end=2e-6,
-                          lr_modulated_start=3e-2, lr_modulated_end=3e-3, eta=0.3,
-                          synth_per_class=20, class_names=("a", "b", "c"))
+                          points=96, synth_per_class=20, class_names=("a", "b", "c"))
         default = RunConfig()
         assert [f.name for f in fields(RunConfig)
                 if getattr(every, f.name) == getattr(default, f.name)] == ["out"]
@@ -305,10 +314,10 @@ class TestMeshDirectoryTraining:
 
 class TestDiagnostics:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_loss_aborts_and_names_layer(self, tmp_path):
+    def test_nan_loss_aborts_and_names_layer(self, tmp_path, monkeypatch):
         from mulfree.errors import TrainingDivergedError
-        cfg = tiny_cfg(variant="mul", lr_adaptive_start=1e9, lr_adaptive_end=1e9,
-                       out=str(tmp_path / "diverge"))
+        monkeypatch.setitem(optim.RATES, "adaptive_moment", (1e9, 1e9))
+        cfg = tiny_cfg(variant="mul", out=str(tmp_path / "diverge"))
         with pytest.raises(TrainingDivergedError, match="first offending layer"):
             cmd_train(cfg)
 
@@ -522,14 +531,14 @@ class TestMainEntry:
 
     def test_config_file_overrides_with_flag_precedence(self, tmp_path):
         ini = tmp_path / "base.ini"
-        ini.write_text(config_to_ini(tiny_cfg(variant="add", eta=0.3)))
+        ini.write_text(config_to_ini(tiny_cfg(variant="add", batch_size=8)))
         out = tmp_path / "cfg_run"
         rc = main(["train", "--config", str(ini), "--epochs", "0",
                    "--variant", "shift", "--out", str(out)])
         assert rc == 0
         cfg = config_from_ini((out / "config.ini").read_text())
         assert cfg.variant == "shift"  # flags win over the file
-        assert cfg.eta == 0.3          # file wins over defaults
+        assert cfg.batch_size == 8     # file wins over defaults
         assert cfg.points == 64
 
     @pytest.mark.parametrize("text", ["[run]\nepochs = abc\n", "epochs = 3\n",
@@ -558,7 +567,10 @@ class TestMainEntry:
         if "augment" in text:
             assert err.startswith(f"error: {ini}: config [run] augment: ")
             assert "is not a boolean" in err
-        for removed in ("cycles", "num_classes", "synth_points"):  # dropped settings
+        if text.startswith("[optim]"):  # the optimizer recipe is constants in mulfree.optim
+            assert err == f"error: {ini}: config has unknown section [optim]\n"
+            return
+        for removed in ("num_classes", "synth_points"):  # dropped settings
             if removed in text:
                 assert err.startswith(f"error: {ini}: config [")
                 assert f"unknown key {removed!r}" in err
@@ -631,10 +643,17 @@ class TestMainEntry:
         (["train", "--variant", "foo"], "unknown variant 'foo'"),
         (["train", "--synth-per-class", "2"], "synth_per_class 2 leaves the test split empty"),
         (["grad-report", "--batches", "-1"], "batches must be >= 0, got -1"),
+        (["eval", "--data", "modelnet40:{slabs}"], "data modelnet40:{slabs} has classes "
+         "slab, but the config names cube, disk, planes, sphere"),
+        (["grad-report", "--data", "modelnet40:{slabs}"], "has classes slab, but the config"),
+        (["export", "--what", "features", "--out", "{slabs}/x", "--data", "modelnet40:{slabs}"],
+         "has classes slab, but the config"),
     ])
-    def test_bad_value_exits_with_message(self, sa_run, capsys, argv, message):
+    def test_bad_value_exits_with_message(self, sa_run, slabs, capsys, argv, message):
+        argv = [a.format(slabs=slabs) for a in argv]
         if argv[0] != "train":
             argv = [*argv, "--ckpt", str(sa_run / "ckpt_last.bin")]
+        message = message.format(slabs=slabs)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -678,6 +697,15 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(cache) in err
             cache.write_bytes(blob)
+
+    def test_config_class_names_must_be_the_data_classes(self, tmp_path, capsys):
+        ini = tmp_path / "base.ini"
+        ini.write_text(config_to_ini(tiny_cfg(class_names=("a", "b", "c", "d"))))
+        argv = ["train", "--config", str(ini), "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert not (tmp_path / "run").exists()
+        assert capsys.readouterr().err == ("error: data synthetic has classes cube, disk, "
+                                           "planes, sphere, but the config names a, b, c, d\n")
 
     def test_flag_error_under_a_config_file_names_no_file(self, tmp_path, capsys):
         ini = tmp_path / "base.ini"
@@ -755,6 +783,17 @@ class TestScripts:
                                            {"minor_faults": {"parent": [5], "change": [6]}})
         assert crashed["metrics"] == {"clouds_per_s": None, "setup_s": None}
         assert crashed["minor_faults"]["change"] == {"runs": [6], "median": 6}
+
+    @pytest.mark.parametrize("last", ["perfbench: interrupted", '{"correct": true}', "[1, 2]"])
+    def test_run_with_a_malformed_last_line_counts_as_crashed(self, monkeypatch, capsys, last):
+        bench_pairs = _bench_pairs()
+        done = subprocess.CompletedProcess([], 0, stdout=f"warm-up\n{last}\n",
+                                           stderr="run.py: stopped\n")
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: done)
+        res, side = bench_pairs.run_once(Path("."), "w", 1, 0.1)
+        assert res is None
+        assert set(side) == set(bench_pairs.SIDE_RECORDS)  # the side records are kept
+        assert capsys.readouterr().err == "run.py: stopped\n"
 
     def test_run_records_cpu_time_and_steal(self, tmp_path):
         bench_pairs = _bench_pairs()

@@ -319,6 +319,15 @@ class TestCache:
             with pytest.raises(CacheError, match=f"{re.escape(str(path))}: .*{message}"):
                 cache_read(path)
 
+    def test_non_finite_point_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "ds.sapc"
+        for bad in (np.nan, np.inf, -np.inf):
+            train, test, manifest = synth_shapes(3, 64, seed=2)
+            test.points[-1, 5, 2] = bad
+            cache_write(path, train, test, manifest)
+            with pytest.raises(CacheError, match=f"{re.escape(str(path))}: .*not finite"):
+                cache_read(path)
+
     def test_cloud_size_bound_is_the_largest_record_numpy_holds(self, tmp_path):
         path = tmp_path / "ds.sapc"
         text = json.dumps(vars(DatasetManifest([], [], [], 0))).encode()

@@ -298,7 +298,7 @@ def desk_model(variant):
 
 
 def desk_optimizers(model):
-    return build_optimizers(route_parameters(model), (1e-3, 1e-6), (2e-2, 2e-3), 0.2, 3)
+    return build_optimizers(route_parameters(model), 3)
 
 
 def desk_batch(rng, b):

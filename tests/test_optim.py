@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulfree import optim
 from mulfree.cli import RunConfig
 from mulfree.errors import ConfigError
 from mulfree.layers import Param
@@ -166,29 +167,16 @@ class TestRouting:
         assert len(routed) == len(set(id(p) for p in routed))
         assert {id(p) for p in routed} == {id(p) for p in model.parameters()}
 
-    def test_default_rates_follow_run_config(self):
-        cfg = RunConfig()
-        assert (cfg.lr_adaptive_start, cfg.lr_adaptive_end) == (1e-3, 1e-6)
-        assert (cfg.lr_modulated_start, cfg.lr_modulated_end) == (2e-2, 2e-3)
-        assert cfg.eta == 0.2 and cfg.batch_size == 32
-
-    def test_modulated_route_requires_eta(self):
-        for eta in (0, None, -0.2, float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="eta must be finite and > 0"):
-                RunConfig(eta=eta)
-
-    def test_learning_rates_must_be_finite_and_not_negative(self):
-        for key in ("lr_adaptive_start", "lr_adaptive_end", "lr_modulated_start",
-                    "lr_modulated_end"):
-            for lr in (-1e-3, float("nan"), float("inf")):
-                with pytest.raises(ConfigError, match=f"{key} must be finite and >= 0"):
-                    RunConfig(**{key: lr})
-            assert getattr(RunConfig(**{key: 0.0}), key) == 0.0
+    def test_recipe_is_the_papers(self):
+        assert optim.RULES == {"mul": "adaptive_moment", "shift": "adaptive_moment",
+                               "norm": "adaptive_moment", "adder": "modulated_sgd"}
+        assert optim.RATES == {"adaptive_moment": (1e-3, 1e-6), "modulated_sgd": (2e-2, 2e-3)}
+        assert optim.ETA == 0.2 and RunConfig().batch_size == 32
 
     def test_optimizers_follow_groups_adaptive_first(self):
         model = build_model(SMALL, substream(0, 0))
         groups = route_parameters(model)
-        built = build_optimizers(groups, (1e-3, 1e-6), (2e-2, 2e-3), 0.2, 10)
+        built = build_optimizers(groups, 10)
         assert [opt.kind for opt, _ in built] == ["adaptive_moment", "modulated_sgd"]
         assert [opt.params for opt, _ in built] == [groups[opt.kind] for opt, _ in built]
         assert [sched.lr_at(0) for _, sched in built] == [1e-3, 2e-2]
