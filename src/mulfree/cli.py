@@ -31,7 +31,7 @@ from .data import (MAX_CLOUD_POINTS, PointDataset, augment, ingest_modelnet40,
                    subsample_density, synth_shapes)
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import unframe, write_framed
-from .layers import AdderLinear, ShiftLinear
+from .layers import AdderLinear, ShiftLinear, quantize_shift
 from .models import ModelConfig, build_model, knn_group
 from .optim import ETA, build_optimizers, modulate_gradient, route_parameters
 from .tensor import softmax_cross_entropy, substream
@@ -62,7 +62,6 @@ class RunConfig:
     batch_size: int = 32
     seed: int = 7
     out: str | None = None
-    augment: bool = True
     # model overrides; None picks the per-source preset
     embed_widths: tuple[int, ...] | None = None
     encoder_widths: tuple[int, ...] | None = None
@@ -105,7 +104,7 @@ class RunConfig:
 
 # the INI file layout; `out` stays out, so a run's files do not depend on where it ran
 _SECTIONS = {
-    "run": ("variant", "data", "epochs", "batch_size", "seed", "augment"),
+    "run": ("variant", "data", "epochs", "batch_size", "seed"),
     "model": ("embed_widths", "encoder_widths", "head_widths", "knn_k", "points"),
     "data": ("synth_per_class", "class_names"),
 }
@@ -157,10 +156,6 @@ def _ini_value(hint, raw: str):
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         return tuple(item(v) for v in raw.split(","))
-    if hint is bool:
-        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise ValueError(f"{raw!r} is not a boolean")
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     return hint(raw)
 
 
@@ -326,9 +321,7 @@ def cmd_train(cfg: RunConfig) -> Path:
             steps = 0
             for start in range(0, len(perm), cfg.batch_size):
                 sel = perm[start : start + cfg.batch_size]
-                pts = train_ds.points[sel]
-                if cfg.augment:
-                    pts = augment(pts, augment_rng)
+                pts = augment(train_ds.points[sel], augment_rng)
                 labels = train_ds.labels[sel]
                 loss, logits = backprop_batch(model, pts, labels, rms_sums, f"epoch {epoch}")
                 for opt, _ in optimizers:
@@ -370,28 +363,23 @@ def cmd_train(cfg: RunConfig) -> Path:
 
 # --- reports ---
 
-def _open_checkpoint(ckpt, data: str | None = None, seed: int | None = None,
-                     batch_size: int | None = None):
-    """(model, cfg, seed) for a report. `data` and `batch_size` replace the
-    checkpoint's settings, so RunConfig checks them. `seed` (default: the
-    checkpoint's) seeds only the report's own draws, never the dataset."""
+def _open_checkpoint(ckpt, data: str | None = None):
+    """(model, cfg) for a report. `data` replaces the checkpoint's source, so
+    RunConfig checks it; the clouds keep the model's input size."""
     model, cfg = load_checkpoint(ckpt)
-    cfg = replace(cfg, **{k: v for k, v in (("data", data), ("batch_size", batch_size))
-                          if v is not None})
-    seed = cfg.seed if seed is None else seed
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return model, cfg, seed
+    if data is not None:
+        cfg = replace(cfg, data=data, points=model.cfg.points_in)
+    return model, cfg
 
 
 def _density_report(ckpt, model, cfg: RunConfig, test_ds: PointDataset,
-                    density: int | None, seed: int) -> dict:
+                    density: int | None) -> dict:
     """Accuracy on the test split, subsampled to `density` points per cloud."""
     full = test_ds.points.shape[1]
     if density is not None and density != full:
         if not 1 <= density <= full:
             raise ConfigError(f"density {density} outside [1, {full}], the cached cloud size")
-        rng = substream(seed, 200 + density)
+        rng = substream(cfg.seed, 200 + density)
         test_ds = PointDataset(
             np.stack([subsample_density(p, density, rng) for p in test_ds.points]),
             test_ds.labels, test_ds.class_names)
@@ -400,13 +388,12 @@ def _density_report(ckpt, model, cfg: RunConfig, test_ds: PointDataset,
             "accuracy": acc, "per_class": per_class}
 
 
-def cmd_eval(ckpt, data: str | None = None, densities=None,
-             seed: int | None = None, out=None, batch_size: int | None = None):
+def cmd_eval(ckpt, data: str | None = None, densities=None, out=None):
     """One report per density (default: the cloud size), printed as one JSON
     line each and, with `out`, written to `out/eval.jsonl`; returns the reports."""
-    model, cfg, seed = _open_checkpoint(ckpt, data, seed, batch_size)
+    model, cfg = _open_checkpoint(ckpt, data)
     _, test_ds, _ = load_datasets(cfg)
-    reports = [_density_report(ckpt, model, cfg, test_ds, d, seed) for d in densities or [None]]
+    reports = [_density_report(ckpt, model, cfg, test_ds, d) for d in densities or [None]]
     text = "".join(json.dumps(r) + "\n" for r in reports)
     print(text, end="")
     if out:
@@ -414,19 +401,18 @@ def cmd_eval(ckpt, data: str | None = None, densities=None,
     return reports
 
 
-def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
-                    seed: int | None = None, out=None):
+def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4, out=None):
     """Per-layer RMS of raw weight gradients; adder layers also report the
     post-modulation RMS (identically ETA by construction). A non-finite
     loss raises TrainingDivergedError, as in training."""
     if batches < 0:
         raise ConfigError(f"batches must be >= 0, got {batches}")
-    model, cfg, seed = _open_checkpoint(ckpt, data, seed)
+    model, cfg = _open_checkpoint(ckpt, data)
     raw: dict[str, float] = {}
     mod: dict[str, float] = {}
     if batches > 0:
         train_ds, _, _ = load_datasets(cfg)
-        rng = substream(seed, 3)
+        rng = substream(cfg.seed, 3)
         for b in range(batches):
             sel = rng.choice(len(train_ds), size=min(cfg.batch_size, len(train_ds)),
                              replace=False)
@@ -452,14 +438,14 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4,
 
 
 def cmd_export(ckpt, what: str, out, data: str | None = None):
-    model, cfg, _ = _open_checkpoint(ckpt, data)
+    model, cfg = _open_checkpoint(ckpt, data)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if what == "weights_hist":
         for name, layer in model.linear_layers():
-            values = layer.quantize() if isinstance(layer, ShiftLinear) else layer.w.data
-            values = np.asarray(values).ravel()
+            w = layer.w.data
+            values = (quantize_shift(w)[2] if isinstance(layer, ShiftLinear) else w).ravel()
             vpath = out / f"{name}.values.csv"
             with open(vpath, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -496,9 +482,9 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
         if not shift_layers:
             raise ConfigError(f"model variant {cfg.variant!r} has no shift layers to pack")
         for name, layer in shift_layers:
-            layer.quantize()
+            s, p, _ = quantize_shift(layer.w.data)
             path = out / f"{name}.saq1"
-            path.write_bytes(shiftquant.pack_weights(layer.s, layer.p))
+            path.write_bytes(shiftquant.pack_weights(s, p))
             written.append(path)
     else:
         raise ConfigError(f"unknown export kind {what!r}")
@@ -532,7 +518,6 @@ def _eval(densities=None, **kwargs):
 # --- argument parsing ---
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="rng seed (default: checkpoint seed)")
     p.add_argument("--data", default=None,
                    help="synthetic or modelnet40:<dir> (default: checkpoint source)")
     p.add_argument("--out", default=None, help="output directory")
@@ -554,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch-size", type=int)
     t.add_argument("--seed", type=int)
     t.add_argument("--out")
-    t.add_argument("--no-augment", dest="augment", action="store_false")
     t.add_argument("--config", help="INI file overriding the defaults")
     t.add_argument("--synth-per-class", type=int)
     t.add_argument("--points", type=int)
@@ -564,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--densities", default=None,
                    help="comma-separated point counts (default: the cached cloud size)")
-    e.add_argument("--batch-size", type=int, default=None)
     _add_common(e)
 
     g = sub.add_parser("grad-report", help="per-layer gradient RMS table")
@@ -587,8 +570,8 @@ def main(argv=None) -> int:
     run = args.pop("run")
     try:
         run(**args)
-    except (MulfreeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MulfreeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -32,9 +32,6 @@ class Param:
         self.grad: np.ndarray | None = None
         self.kind = kind
 
-    def __repr__(self):
-        return f"Param({self.name!r}, shape={tuple(self.data.shape)}, kind={self.kind!r})"
-
 
 def quantize_shift(w_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Power-of-two quantization: clamp to [-1, 1], then sign and rounded log2 exponent.
@@ -134,26 +131,21 @@ class ShiftLinear(Layer):
         self.name = name
         self.c_in, self.c_out = c_in, c_out
         self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in), "shift")
-        self.s = self.p = self.w_q = None
         self._ctx = None
 
     def params(self):
         return [self.w]
 
-    def quantize(self):
-        self.s, self.p, self.w_q = quantize_shift(self.w.data)
-        return self.w_q
-
     def forward(self, x, train: bool = True):
-        w_q = self.quantize()
+        w_q = quantize_shift(self.w.data)[2]
         self._ctx = (x, w_q) if train else None
         return tensor.affine_map(x, w_q)
 
     def forward_fixed(self, x):
         """Inference path through the Q16.16 integer kernel (result dequantized)."""
-        self.quantize()
+        s, p, _ = quantize_shift(self.w.data)
         self._ctx = None
-        return shiftquant.shift_affine_fixed(x, self.s, self.p)[0]  # [1]: saturated count
+        return shiftquant.shift_affine_fixed(x, s, p)[0]  # [1]: saturated count
 
     def backward(self, dy, need_input_grad: bool = True):
         x, w_q = self._take_ctx()
