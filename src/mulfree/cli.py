@@ -32,7 +32,7 @@ from .data import (MAX_CLOUD_POINTS, PointDataset, augment, ingest_modelnet40,
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
 from .framing import unframe, write_framed
 from .layers import AdderLinear, ShiftLinear, quantize_shift
-from .models import ModelConfig, build_model, knn_group
+from .models import ModelConfig, build_model
 from .optim import ETA, build_optimizers, modulate_gradient, route_parameters
 from .tensor import softmax_cross_entropy, substream
 
@@ -166,7 +166,7 @@ def load_datasets(cfg: RunConfig):
     raise ConfigError, since each head output stands for one named class."""
     points = cfg.model_config().points_in  # `points`, else 256 or 1024 by source
     if cfg.source() == "modelnet40":
-        splits = ingest_modelnet40(cfg.data.split(":", 1)[1], points, cfg.seed)
+        splits = ingest_modelnet40(cfg.data.split(":", 1)[1], points)
     else:
         splits = synth_shapes(cfg.synth_per_class, points, cfg.seed)
         if not len(splits[1]):
@@ -239,22 +239,14 @@ def load_checkpoint(path):
 
 # --- evaluation ---
 
-def evaluate(model, ds: PointDataset, batch_size: int, knn_cache: dict | None = None):
-    """Eval-mode accuracy over a dataset; returns (accuracy, per-class dict).
-
-    knn_cache memoizes neighbor indices per batch offset; valid only while
-    the dataset object is unchanged (the per-epoch eval inside training).
-    """
+def evaluate(model, ds: PointDataset, batch_size: int):
+    """Eval-mode accuracy over a dataset, forwarded `batch_size` clouds at a
+    time; returns (accuracy, per-class dict)."""
     correct, total = np.zeros((2, len(ds.class_names)), np.int64)
     for start in range(0, len(ds), batch_size):
         pts = ds.points[start : start + batch_size]
         labels = ds.labels[start : start + batch_size]
-        idx = None
-        if knn_cache is not None:
-            idx = knn_cache.get(start)
-            if idx is None:
-                idx = knn_cache[start] = knn_group(pts, model.cfg.knn_k)
-        pred = np.argmax(model.forward(pts, train=False, neighbor_idx=idx), axis=1)
+        pred = np.argmax(model.forward(pts, train=False), axis=1)
         total += np.bincount(labels, minlength=len(total))
         correct += np.bincount(labels[pred == labels], minlength=len(total))
     acc = float(correct.sum() / max(total.sum(), 1))
@@ -305,7 +297,6 @@ def cmd_train(cfg: RunConfig) -> Path:
     augment_rng = substream(cfg.seed, 2)
 
     best_acc = -1.0
-    eval_knn_cache: dict = {}
     # timings.jsonl holds what differs between identical runs, so that
     # metrics.jsonl stays comparable with only wall_clock_s removed
     with open(out_dir / "metrics.jsonl", "w") as metrics, \
@@ -330,7 +321,7 @@ def cmd_train(cfg: RunConfig) -> Path:
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
                 steps += 1
             t_train = time.perf_counter()
-            test_acc, _ = evaluate(model, test_ds, cfg.batch_size, eval_knn_cache)
+            test_acc, _ = evaluate(model, test_ds, cfg.batch_size)
             t_eval = time.perf_counter()
             record = {
                 "epoch": epoch,
@@ -445,6 +436,8 @@ def cmd_export(ckpt, what: str, out, data: str | None = None):
     if what == "weights_hist":
         for name, layer in model.linear_layers():
             w = layer.w.data
+            if not np.all(np.isfinite(w)):  # a histogram has no bin for it
+                raise TrainingDivergedError(f"{ckpt}: layer {name} holds a non-finite weight")
             values = (quantize_shift(w)[2] if isinstance(layer, ShiftLinear) else w).ravel()
             vpath = out / f"{name}.values.csv"
             with open(vpath, "w", newline="") as fh:

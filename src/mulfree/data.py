@@ -26,6 +26,9 @@ CACHE_NAME = "dataset.sapc"
 # the largest cloud one SAPC record holds: numpy caps a record (a 2-byte label,
 # 12 bytes a point) at 2**31 - 1 bytes
 MAX_CLOUD_POINTS = (2**31 - 1 - 2) // 12  # 178,956,970
+# the one stream every mesh is sampled from, so runs at any seed share a cache;
+# 7 is the default run seed, whose clouds it keeps
+MESH_SEED = 7
 
 SYNTH_CLASSES = ["cube", "disk", "planes", "sphere"]
 _CUBE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # the two free axes of each cube face
@@ -292,13 +295,14 @@ def load_dataset(cache_dir) -> tuple[PointDataset, PointDataset, DatasetManifest
 
 # --- ModelNet40-style directory ingestion ---
 
-def ingest_modelnet40(root, points_per_cloud: int = 1024,
-                      seed: int = 7) -> tuple[PointDataset, PointDataset, DatasetManifest]:
+def ingest_modelnet40(root, points_per_cloud: int = 1024
+                      ) -> tuple[PointDataset, PointDataset, DatasetManifest]:
     """Sample `<root>/<class>/{train,test}/*.off` into the cache `<root>/sapc_cache/dataset.sapc`.
 
     Class labels follow the lexicographic order of the class directories.
-    The cache is reused when its cloud size and seed match; otherwise the meshes are
-    sampled again and the file is replaced whole, so an interrupted write keeps the old one.
+    Every mesh is sampled from the MESH_SEED stream. The cache is reused when its
+    cloud size and seed match; otherwise the meshes are sampled again and the
+    file is replaced whole, so an interrupted write keeps the old one.
     """
     root = Path(root)
     if not root.is_dir():
@@ -306,13 +310,13 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024,
     cache = root / "sapc_cache" / CACHE_NAME
     if cache.exists():
         train, test, manifest = cache_read(cache)
-        if train.points.shape[1] == points_per_cloud and manifest.seed == seed:
+        if train.points.shape[1] == points_per_cloud and manifest.seed == MESH_SEED:
             return train, test, manifest
     classes = sorted(d.name for d in root.iterdir()
                      if d.is_dir() and d.name != cache.parent.name)
     if not classes:
         raise CacheError(f"no class directories under {root}")
-    rng = substream(seed, 102)
+    rng = substream(MESH_SEED, 102)
     splits = {"train": ([], [], []), "test": ([], [], [])}
     for label, cls in enumerate(classes):
         for split in ("train", "test"):
@@ -330,7 +334,7 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024,
         raise CacheError(f"no .off files found under {root}")
     train = PointDataset(np.stack(tr_p), np.array(tr_l, np.int64), classes)
     test = PointDataset(np.stack(te_p), np.array(te_l, np.int64), classes)
-    manifest = DatasetManifest(classes, tr_i, te_i, seed)
+    manifest = DatasetManifest(classes, tr_i, te_i, MESH_SEED)
     cache.parent.mkdir(exist_ok=True)
     cache_write(cache, train, test, manifest)
     return train, test, manifest

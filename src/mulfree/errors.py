@@ -50,4 +50,4 @@ class ConfigError(MulfreeError, ValueError):
 
 
 class TrainingDivergedError(MulfreeError, RuntimeError):
-    """Training produced a non-finite loss; message names the first bad layer."""
+    """Training produced a non-finite loss or weight; message names the first bad layer."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree import cli, optim, tensor
+from mulfree import cli, data, optim, tensor
 from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report, cmd_train,
                          config_from_ini, config_to_ini, evaluate, load_checkpoint,
                          load_datasets, main, save_checkpoint)
@@ -166,6 +166,16 @@ class TestEval:
         (report,) = cmd_eval(sa_run / "ckpt_last.bin")
         assert report["accuracy"] == last["test_acc"]
 
+    def test_best_checkpoint_matches_the_best_logged_epoch(self, tmp_path):
+        """At batch 2 and seed 0 the tiny run peaks at epoch 1, so the eval that
+        chose ckpt_best ran on a model that later epochs changed again."""
+        out = cmd_train(tiny_cfg(epochs=3, seed=0, batch_size=2, out=str(tmp_path / "r")))
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        accs = [json.loads(line)["test_acc"] for line in lines]
+        assert 0 < accs.index(max(accs)) < len(accs) - 1, accs
+        model, cfg = load_checkpoint(out / "ckpt_best.bin")
+        assert evaluate(model, load_datasets(cfg)[1], cfg.batch_size)[0] == max(accs)
+
     def test_checkpoint_roundtrip_same_accuracy(self, sa_run):
         model, cfg = load_checkpoint(sa_run / "ckpt_last.bin")
         _, test_ds, _ = load_datasets(cfg)
@@ -267,6 +277,17 @@ class TestExport:
         assert np.abs(lf - lq).max() < 0.02
         assert (lf.argmax(1) == lq.argmax(1)).all()
 
+    def test_weights_hist_of_a_non_finite_weight_names_the_layer(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        model = build_model(cfg.model_config(), substream(0, 0))
+        dict(model.stages)["embed3"].w.data[1, 2] = np.nan
+        save_checkpoint(tmp_path / "nan.bin", model, config_to_ini(cfg))
+        argv = ["export", "--ckpt", str(tmp_path / "nan.bin"), "--what", "weights_hist",
+                "--out", str(tmp_path / "h")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layer embed3 holds a non-finite weight" in err
+
     def test_packed_shift_requires_shift_layers(self, tmp_path):
         out = cmd_train(tiny_cfg(variant="add", epochs=0, out=str(tmp_path / "add")))
         with pytest.raises(ConfigError):
@@ -308,9 +329,21 @@ class TestMeshDirectoryTraining:
         train, test, manifest = load_dataset(tmp_path / "meshes" / "sapc_cache")
         assert train.points.shape == (6, 70000, 3) and test.points.shape == (4, 70000, 3)
         shutil.rmtree(tmp_path / "meshes" / "sapc_cache")
-        for got, want in zip((train, test), ingest_modelnet40(tmp_path / "meshes", 70000, 7)):
+        for got, want in zip((train, test), ingest_modelnet40(tmp_path / "meshes", 70000)):
             np.testing.assert_array_equal(got.points, want.points)
             np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_runs_at_other_seeds_reuse_the_sampled_meshes(self, tmp_path, monkeypatch):
+        calls = []
+        sample_mesh = data.sample_mesh
+        monkeypatch.setattr(data, "sample_mesh", lambda *a: calls.append(1) or sample_mesh(*a))
+        meshes = mesh_dir(tmp_path / "meshes", ["slab", "tower"])
+        sampled = []
+        for seed in ("3", "4"):
+            assert main(["train", "--data", f"modelnet40:{meshes}", "--points", "64",
+                         "--epochs", "0", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+            sampled.append(len(calls))
+        assert sampled == [4, 4]  # one cloud per mesh, all in the first run
 
 
 class TestDiagnostics:

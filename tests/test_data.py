@@ -398,7 +398,7 @@ def make_fake_modelnet(root, classes=("chair", "airplane")):
 class TestModelNetIngestion:
     def test_ingest_and_label_order(self, tmp_path):
         make_fake_modelnet(tmp_path)
-        train, test, manifest = ingest_modelnet40(tmp_path, points_per_cloud=128, seed=4)
+        train, test, manifest = ingest_modelnet40(tmp_path, points_per_cloud=128)
         assert manifest.class_names == ["airplane", "chair"]  # lexicographic
         assert len(train) == 6 and len(test) == 4
         assert train.points.shape == (6, 128, 3)
@@ -413,14 +413,24 @@ class TestModelNetIngestion:
 
     def test_cache_reused(self, tmp_path):
         make_fake_modelnet(tmp_path)
-        a_train, _, _ = ingest_modelnet40(tmp_path, points_per_cloud=128, seed=4)
+        a_train, _, _ = ingest_modelnet40(tmp_path, points_per_cloud=128)
         (tmp_path / "chair" / "train" / "chair_0000.off").unlink()  # cache must win
-        b_train, _, _ = ingest_modelnet40(tmp_path, points_per_cloud=128, seed=4)
+        b_train, _, _ = ingest_modelnet40(tmp_path, points_per_cloud=128)
         np.testing.assert_array_equal(a_train.points, b_train.points)
+
+    def test_cache_of_another_seed_is_sampled_again(self, tmp_path):
+        make_fake_modelnet(tmp_path)
+        train, test, manifest = ingest_modelnet40(tmp_path, points_per_cloud=64)
+        assert manifest.seed == data.MESH_SEED
+        other = DatasetManifest(**{**vars(manifest), "seed": 4})
+        cache_write(tmp_path / "sapc_cache" / data.CACHE_NAME, train, test, other)
+        again, _, man = ingest_modelnet40(tmp_path, points_per_cloud=64)
+        assert man == manifest and load_dataset(tmp_path / "sapc_cache")[2] == manifest
+        np.testing.assert_array_equal(again.points, train.points)
 
     def test_interrupted_reingest_keeps_the_previous_cache(self, tmp_path, monkeypatch):
         make_fake_modelnet(tmp_path)
-        ingest_modelnet40(tmp_path, points_per_cloud=64, seed=4)
+        ingest_modelnet40(tmp_path, points_per_cloud=64)
         write_framed = data.write_framed
 
         def interrupted(path, magic, parts):
@@ -431,9 +441,9 @@ class TestModelNetIngestion:
 
         monkeypatch.setattr(data, "write_framed", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            ingest_modelnet40(tmp_path, points_per_cloud=32, seed=4)
+            ingest_modelnet40(tmp_path, points_per_cloud=32)
         monkeypatch.undo()
-        train, test, _ = ingest_modelnet40(tmp_path, points_per_cloud=64, seed=4)
+        train, test, _ = ingest_modelnet40(tmp_path, points_per_cloud=64)
         assert train.points.shape == (6, 64, 3) and test.points.shape == (4, 64, 3)
         assert [p.name for p in (tmp_path / "sapc_cache").iterdir()] == [data.CACHE_NAME]
 

@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree.cli import (SYNTH_MODEL, RunConfig, backprop_batch, config_to_ini, evaluate,
+from mulfree.cli import (SYNTH_MODEL, RunConfig, backprop_batch, config_to_ini,
                          load_checkpoint, save_checkpoint)
-from mulfree.data import PointDataset
 from mulfree.errors import ConfigError, DimensionError
 from mulfree.layers import MulLinear
 from mulfree.models import (ModelConfig, PointCloudClassifier, build_model, knn_group,
@@ -201,30 +200,6 @@ class TestForward:
         with pytest.raises(DimensionError):
             small("mul").forward(np.zeros((2, 32, 2), np.float32))
 
-    def test_supplied_neighbor_idx_matches_grouping(self):
-        pts = unit_cloud(make_rng(8))
-        m = small("sa")
-        idx = knn_group(pts, SMALL["knn_k"])
-        np.testing.assert_array_equal(m.forward(pts, neighbor_idx=idx), m.forward(pts))
-
-    @pytest.mark.parametrize("edit", [lambda i: i.__setitem__((0, 5, 1), 32),
-                                      lambda i: i.__setitem__((1, 0, 2), -1)],
-                             ids=["past-the-cloud", "negative"])
-    def test_neighbor_idx_outside_its_cloud(self, edit):
-        """The gather reads by flat index over the batch, so an unchecked index
-        >= points would read the next cloud and a negative one the previous."""
-        pts = unit_cloud(make_rng(9))
-        idx = knn_group(pts, SMALL["knn_k"])
-        edit(idx)
-        with pytest.raises(DimensionError, match="neighbor_idx"):
-            small("sa").forward(pts, neighbor_idx=idx)
-
-    @pytest.mark.parametrize("shape", [(1, 32, 3), (2, 16, 3), (2, 32), (2, 32, 0)])
-    def test_neighbor_idx_of_wrong_shape(self, shape):
-        with pytest.raises(DimensionError, match="neighbor_idx"):
-            small("sa").forward(unit_cloud(make_rng(10)),
-                                neighbor_idx=np.zeros(shape, np.int64))
-
 
 class TestFixedShiftInference:
     def test_logits_match_float_within_fixed_point_tolerance(self):
@@ -396,30 +371,3 @@ class TestStepMemory:
         """The shift-eval path (cli.evaluate, never cli.main) reuses malloc's
         memory too; without the setting each batch-32 forward took ~2000."""
         assert probe_faults("eval", "shift") <= 64
-
-    @pytest.mark.parametrize("variant", ["mul", "shift", "add", "sa"])
-    def test_cached_eval_reads_no_stale_memory(self, variant, monkeypatch):
-        """The per-epoch eval groups each batch once and forwards on the
-        cached indices. With every np.empty array filled with NaN bytes,
-        the grouping and the eval forward on it give the bytes of plain
-        np.empty, for a full batch and a short last one."""
-        model, _ = desk_model(variant)
-        pts = unit_cloud(make_rng(14), 39, 256)
-        for batch in (pts[:32], pts[32:]):
-            with monkeypatch.context() as m:
-                m.setattr(np, "empty", nan_empty)
-                idx = knn_group(batch, model.cfg.knn_k)
-                got = model.forward(batch, train=False, neighbor_idx=idx)
-            assert np.all(np.isfinite(got))
-            assert idx.tobytes() == knn_group(batch, model.cfg.knn_k).tobytes()
-            assert got.tobytes() == model.forward(batch, train=False,
-                                                  neighbor_idx=idx).tobytes()
-
-    def test_cached_eval_grouping_gives_the_uncached_accuracy(self):
-        model, _ = desk_model("sa")
-        pts, labels, _ = desk_batch(make_rng(13), 64)
-        ds = PointDataset(pts, labels, ["a", "b", "c", "d"])
-        cache = {}
-        acc, _ = evaluate(model, ds, 32, cache)
-        assert len(cache) == 2
-        assert evaluate(model, ds, 32, cache)[0] == evaluate(model, ds, 32)[0] == acc
