@@ -277,10 +277,12 @@ class TestExport:
         assert np.abs(lf - lq).max() < 0.02
         assert (lf.argmax(1) == lq.argmax(1)).all()
 
-    def test_weights_hist_of_a_non_finite_weight_names_the_layer(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_weights_hist_of_a_non_finite_weight_names_the_layer(self, tmp_path, capsys, bad):
+        """np.histogram raises on any non-finite value, not only on NaN."""
         cfg = tiny_cfg()
         model = build_model(cfg.model_config(), substream(0, 0))
-        dict(model.stages)["embed3"].w.data[1, 2] = np.nan
+        dict(model.stages)["embed3"].w.data[1, 2] = bad
         save_checkpoint(tmp_path / "nan.bin", model, config_to_ini(cfg))
         argv = ["export", "--ckpt", str(tmp_path / "nan.bin"), "--what", "weights_hist",
                 "--out", str(tmp_path / "h")]

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree.cli import (SYNTH_MODEL, RunConfig, backprop_batch, config_to_ini,
+from mulfree import models
+from mulfree.cli import (SYNTH_MODEL, RunConfig, backprop_batch, config_to_ini, evaluate,
                          load_checkpoint, save_checkpoint)
+from mulfree.data import PointDataset
 from mulfree.errors import ConfigError, DimensionError
 from mulfree.layers import MulLinear
 from mulfree.models import (ModelConfig, PointCloudClassifier, build_model, knn_group,
@@ -200,6 +202,25 @@ class TestForward:
         with pytest.raises(DimensionError):
             small("mul").forward(np.zeros((2, 32, 2), np.float32))
 
+    def test_evaluate_groups_each_batch_once(self, monkeypatch):
+        """forward is the one place that groups: an eval of 39 clouds at batch
+        32 groups its full batch and its short last one, once each."""
+        model, _ = desk_model("sa")
+        pts, labels, _ = desk_batch(make_rng(13), 39)
+        grouped = []
+        group = models.knn_group
+        monkeypatch.setattr(models, "knn_group",
+                            lambda p, k: grouped.append((len(p), k)) or group(p, k))
+        evaluate(model, PointDataset(pts, labels, ["a", "b", "c", "d"]), 32)
+        assert grouped == [(32, model.cfg.knn_k), (7, model.cfg.knn_k)]
+
+    def test_eval_accuracy_independent_of_batch_size(self):
+        model, _ = desk_model("sa")
+        pts, labels, _ = desk_batch(make_rng(13), 64)
+        ds = PointDataset(pts, labels, ["a", "b", "c", "d"])
+        want = evaluate(model, ds, 64)
+        assert evaluate(model, ds, 32) == evaluate(model, ds, 7) == want
+
 
 class TestFixedShiftInference:
     def test_logits_match_float_within_fixed_point_tolerance(self):
@@ -371,3 +392,24 @@ class TestStepMemory:
         """The shift-eval path (cli.evaluate, never cli.main) reuses malloc's
         memory too; without the setting each batch-32 forward took ~2000."""
         assert probe_faults("eval", "shift") <= 64
+
+    @pytest.mark.parametrize("variant", ["mul", "shift", "add", "sa"])
+    def test_eval_reads_no_stale_memory(self, variant, monkeypatch):
+        """cli.evaluate of 39 clouds at batch 32 groups and forwards a full
+        batch and a short last one. With every np.empty array filled with NaN
+        bytes, it gives the logits, bit for bit, and the accuracy of plain
+        np.empty."""
+        model, _ = desk_model(variant)
+        pts, labels, _ = desk_batch(make_rng(14), 39)
+        ds = PointDataset(pts, labels, ["a", "b", "c", "d"])
+        logits = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda *a, **kw: logits.append(forward(*a, **kw)) or logits[-1])
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", nan_empty)
+            got = evaluate(model, ds, 32)
+        assert got == evaluate(model, ds, 32)
+        assert [len(g) for g in logits] == [32, 7, 32, 7]
+        for g, w in zip(logits[:2], logits[2:]):
+            assert np.all(np.isfinite(g)) and g.tobytes() == w.tobytes()
