@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from . import shiftquant
 from .data import (MAX_CLOUD_POINTS, PointDataset, augment, ingest_modelnet40,
                    subsample_density, synth_shapes)
 from .errors import CacheError, ConfigError, MulfreeError, TrainingDivergedError
-from .framing import unframe, write_framed
+from .framing import unframe, write_file, write_framed
 from .layers import AdderLinear, ShiftLinear, quantize_shift
 from .models import ModelConfig, build_model
 from .optim import ETA, build_optimizers, modulate_gradient, route_parameters
@@ -259,12 +258,6 @@ def _grad_rms(g: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.asarray(g, np.float64) ** 2)))
 
 
-def _write(out, name: str, text: str) -> None:
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
-
-
 # --- training ---
 
 def backprop_batch(model, pts, labels, rms_sums: dict, where: str):
@@ -289,7 +282,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     model_cfg = cfg.model_config()
     out_dir = Path(cfg.out or f"runs/{cfg.variant}_{cfg.source()}_s{cfg.seed}")
     config_text = config_to_ini(cfg)
-    _write(out_dir, "config.ini", config_text)
+    write_file(out_dir / "config.ini", [config_text.encode()])
 
     model = build_model(model_cfg, substream(cfg.seed, 0))
     optimizers = build_optimizers(route_parameters(model), max(epochs, 1))
@@ -388,7 +381,7 @@ def cmd_eval(ckpt, data: str | None = None, densities=None, out=None):
     text = "".join(json.dumps(r) + "\n" for r in reports)
     print(text, end="")
     if out:
-        _write(out, "eval.jsonl", text)
+        write_file(Path(out) / "eval.jsonl", [text.encode()])
     return reports
 
 
@@ -423,65 +416,55 @@ def cmd_grad_report(ckpt, data: str | None = None, batches: int = 4, out=None):
     text = "\n".join(lines)
     print(text)
     if out:
-        _write(out, "grad_report.json", json.dumps(rows, indent=1))
-        _write(out, "grad_report.txt", text + "\n")
+        write_file(Path(out) / "grad_report.json", [json.dumps(rows, indent=1).encode()])
+        write_file(Path(out) / "grad_report.txt", [f"{text}\n".encode()])
     return rows
 
 
+def _csv(rows) -> bytes:
+    """Rows of fields that need no quoting, comma-separated, each ended by CRLF."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows).encode()
+
+
 def cmd_export(ckpt, what: str, out, data: str | None = None):
+    """Build every file of the export, then write them, so a failed export writes none."""
     model, cfg = _open_checkpoint(ckpt, data)
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if what == "weights_hist":
-        for name, layer in model.linear_layers():
-            w = layer.w.data
-            if not np.all(np.isfinite(w)):  # a histogram has no bin for it
-                raise TrainingDivergedError(f"{ckpt}: layer {name} holds a non-finite weight")
-            values = (quantize_shift(w)[2] if isinstance(layer, ShiftLinear) else w).ravel()
-            vpath = out / f"{name}.values.csv"
-            with open(vpath, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["value"])
-                writer.writerows([[f"{v:.9g}"] for v in values])
-            counts, edges = np.histogram(values, bins=64)
-            hpath = out / f"{name}.hist.csv"
-            with open(hpath, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_left", "bin_right", "count"])
-                for i in range(64):
-                    writer.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(counts[i])])
-            written += [vpath, hpath]
-    elif what == "features":
+    files = {}
+    if what == "features":
         _, test_ds, _ = load_datasets(cfg)
-        path = out / "features.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = None
-            outputs: dict = {}
-            for start in range(0, len(test_ds), cfg.batch_size):
-                pts = test_ds.points[start : start + cfg.batch_size]
-                labels = test_ds.labels[start : start + cfg.batch_size]
-                model.forward(pts, train=False, observe=outputs.__setitem__)
-                feats = outputs["global_pool"]
-                if dim is None:
-                    dim = feats.shape[1]
-                    writer.writerow(["label"] + [f"f{i}" for i in range(dim)])
-                for lab, row in zip(labels, feats):
-                    writer.writerow([int(lab)] + [f"{v:.7g}" for v in row])
-        written.append(path)
-    elif what == "packed_shift":
-        shift_layers = [(n, l) for n, l in model.linear_layers() if isinstance(l, ShiftLinear)]
-        if not shift_layers:
+        outputs, feats = {}, []
+        for start in range(0, len(test_ds), cfg.batch_size):
+            model.forward(test_ds.points[start : start + cfg.batch_size], train=False,
+                          observe=outputs.__setitem__)
+            feats.append(outputs["global_pool"])
+        feats = np.concatenate(feats)
+        files["features.csv"] = _csv([["label"] + [f"f{i}" for i in range(feats.shape[1])]]
+                                     + [[lab] + [f"{v:.7g}" for v in row]
+                                        for lab, row in zip(test_ds.labels, feats)])
+    elif what in ("weights_hist", "packed_shift"):
+        layers = [(n, l) for n, l in model.linear_layers()
+                  if what == "weights_hist" or isinstance(l, ShiftLinear)]
+        if not layers:
             raise ConfigError(f"model variant {cfg.variant!r} has no shift layers to pack")
-        for name, layer in shift_layers:
-            s, p, _ = quantize_shift(layer.w.data)
-            path = out / f"{name}.saq1"
-            path.write_bytes(shiftquant.pack_weights(s, p))
-            written.append(path)
+        for name, layer in layers:  # no histogram bin or 5-bit code stands for it
+            if not np.all(np.isfinite(layer.w.data)):
+                raise TrainingDivergedError(f"{ckpt}: layer {name} holds a non-finite weight")
+        for name, layer in layers:
+            w = layer.w.data
+            if what == "packed_shift":
+                files[f"{name}.saq1"] = shiftquant.pack_weights(*quantize_shift(w)[:2])
+            else:
+                values = (quantize_shift(w)[2] if isinstance(layer, ShiftLinear) else w).ravel()
+                files[f"{name}.values.csv"] = _csv([["value"]] + [[f"{v:.9g}"] for v in values])
+                counts, edges = np.histogram(values, bins=64)
+                files[f"{name}.hist.csv"] = _csv(
+                    [["bin_left", "bin_right", "count"]]
+                    + [[f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", counts[i]] for i in range(64)])
     else:
         raise ConfigError(f"unknown export kind {what!r}")
+    written = [Path(out) / name for name in files]
     for path in written:
+        write_file(path, [files[path.name]])
         print(path)
     return written
 

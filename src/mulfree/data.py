@@ -335,6 +335,5 @@ def ingest_modelnet40(root, points_per_cloud: int = 1024
     train = PointDataset(np.stack(tr_p), np.array(tr_l, np.int64), classes)
     test = PointDataset(np.stack(te_p), np.array(te_l, np.int64), classes)
     manifest = DatasetManifest(classes, tr_i, te_i, MESH_SEED)
-    cache.parent.mkdir(exist_ok=True)
     cache_write(cache, train, test, manifest)
     return train, test, manifest

@@ -1,6 +1,7 @@
-"""Magic + body + CRC32 framing, shared by checkpoints (SAMC), point caches
-(SAPC) and packed shift weights (SAQ1): a 4-byte magic, the body, then the
-little-endian CRC32 of the body, i.e. of everything after the magic."""
+"""The one writer of output files, `write_file`, and the magic + body + CRC32
+framing shared by checkpoints (SAMC), point caches (SAPC) and packed shift
+weights (SAQ1): a 4-byte magic, the body, then the little-endian CRC32 of the
+body, i.e. of everything after the magic."""
 
 from __future__ import annotations
 
@@ -13,21 +14,31 @@ def frame(magic: bytes, body: bytes) -> bytes:
     return b"".join((magic, body, struct.pack("<I", zlib.crc32(body))))  # one copy of body
 
 
-def write_framed(path, magic: bytes, parts) -> None:
-    """Write frame(magic, b"".join(parts)) to path without joining the parts, through a
-    sibling file that replaces path once complete and is removed if the write fails."""
+def write_file(path, parts) -> None:
+    """Write the byte parts to path in turn, making its directory, through a sibling
+    `.tmp` file that replaces path once complete and is removed if the write fails:
+    path holds its old bytes or all of the new ones."""
     tmp = Path(f"{path}.tmp")
-    crc = 0
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as fh:
-            fh.write(magic)
             for part in parts:
                 fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc))
         tmp.replace(path)
     finally:  # after a failed or interrupted write; a no-op once replaced
         tmp.unlink(missing_ok=True)
+
+
+def write_framed(path, magic: bytes, parts) -> None:
+    """Write frame(magic, b"".join(parts)) to path through write_file, without joining them."""
+    def framed():
+        crc = 0
+        yield magic
+        for part in parts:
+            yield part
+            crc = zlib.crc32(part, crc)
+        yield struct.pack("<I", crc)
+    write_file(path, framed())
 
 
 def unframe(blob: bytes, magic: bytes, error: type, what: str, min_body: int = 0) -> bytes:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mulfree import cli, data, optim, tensor
+from mulfree import cli, data, models, optim, tensor
 from mulfree.cli import (RunConfig, cmd_eval, cmd_export, cmd_grad_report, cmd_train,
                          config_from_ini, config_to_ini, evaluate, load_checkpoint,
                          load_datasets, main, save_checkpoint)
@@ -277,23 +277,72 @@ class TestExport:
         assert np.abs(lf - lq).max() < 0.02
         assert (lf.argmax(1) == lq.argmax(1)).all()
 
+    def test_csv_bytes(self, sa_run, tmp_path):
+        """Comma-separated, CRLF-ended rows: %.9g weight values and histogram edges, and
+        %.7g pooled features under a label,f0,... header."""
+        ckpt = sa_run / "ckpt_last.bin"
+        model, cfg = load_checkpoint(ckpt)
+        values = quantize_shift(dict(model.linear_layers())["embed1"].w.data)[2].ravel()
+        counts, edges = np.histogram(values, bins=64)
+        cmd_export(ckpt, "weights_hist", tmp_path / "h")
+        hist = (tmp_path / "h" / "embed1.hist.csv").read_bytes()
+        assert hist == b"bin_left,bin_right,count\r\n" + b"".join(
+            b"%.9g,%.9g,%d\r\n" % (edges[i], edges[i + 1], counts[i]) for i in range(64))
+        assert (tmp_path / "h" / "embed1.values.csv").read_bytes() == b"value\r\n" + b"".join(
+            b"%.9g\r\n" % v for v in values)
+
+        _, test_ds, _ = load_datasets(cfg)
+        outputs = {}
+        model.forward(test_ds.points, train=False, observe=outputs.__setitem__)
+        feats = outputs["global_pool"]
+        cmd_export(ckpt, "features", tmp_path / "f")
+        lines = (tmp_path / "f" / "features.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"label," + b",".join(b"f%d" % i for i in range(feats.shape[1]))
+        assert lines[1:] == [b",".join([b"%d" % lab] + [b"%.7g" % v for v in row])
+                             for lab, row in zip(test_ds.labels, feats)] + [b""]
+
+    @pytest.mark.parametrize("what", ["weights_hist", "packed_shift"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_weights_hist_of_a_non_finite_weight_names_the_layer(self, tmp_path, capsys, bad):
-        """np.histogram raises on any non-finite value, not only on NaN."""
+    def test_weight_export_of_a_non_finite_weight_names_the_layer(self, tmp_path, capsys, bad,
+                                                                  what):
+        """np.histogram raises on any non-finite value, and quantize_shift would give a
+        NaN a valid code; either export exits 1 and writes no file."""
         cfg = tiny_cfg()
         model = build_model(cfg.model_config(), substream(0, 0))
         dict(model.stages)["embed3"].w.data[1, 2] = bad
         save_checkpoint(tmp_path / "nan.bin", model, config_to_ini(cfg))
-        argv = ["export", "--ckpt", str(tmp_path / "nan.bin"), "--what", "weights_hist",
+        argv = ["export", "--ckpt", str(tmp_path / "nan.bin"), "--what", what,
                 "--out", str(tmp_path / "h")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "layer embed3 holds a non-finite weight" in err
+        assert err == f"error: {tmp_path / 'nan.bin'}: layer embed3 holds a non-finite weight\n"
+        assert not (tmp_path / "h").exists()
+
+    def test_features_of_a_failed_batch_write_no_file(self, tmp_path, capsys, monkeypatch):
+        cfg = tiny_cfg(batch_size=4)
+        model = build_model(cfg.model_config(), substream(0, 0))
+        save_checkpoint(tmp_path / "m.bin", model, config_to_ini(cfg))
+        forward = models.PointCloudClassifier.forward
+        calls = []
+
+        def second_batch_fails(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 1.00 GiB for an array")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(models.PointCloudClassifier, "forward", second_batch_fails)
+        argv = ["export", "--ckpt", str(tmp_path / "m.bin"), "--what", "features",
+                "--out", str(tmp_path / "f")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 GiB for an array\n"
+        assert len(calls) == 2 and not (tmp_path / "f" / "features.csv").exists()
 
     def test_packed_shift_requires_shift_layers(self, tmp_path):
         out = cmd_train(tiny_cfg(variant="add", epochs=0, out=str(tmp_path / "add")))
         with pytest.raises(ConfigError):
             cmd_export(out / "ckpt_last.bin", "packed_shift", tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
 
 class TestMeshDirectoryTraining:

@@ -12,7 +12,7 @@ from mulfree.cli import (RunConfig, config_from_ini, config_to_ini, load_checkpo
 from mulfree.data import (CACHE_NAME, DatasetManifest, PointDataset, cache_read, cache_write,
                           load_dataset, parse_off, synth_shapes)
 from mulfree.errors import CacheError, MulfreeError
-from mulfree.framing import frame
+from mulfree.framing import frame, write_file
 from mulfree.layers import quantize_shift
 from mulfree.models import build_model
 from mulfree.shiftquant import pack_weights, unpack_weights
@@ -223,3 +223,29 @@ def test_manifest_errors_name_the_file(dataset_dir):
             load_dataset(path)
     with_manifest(path / CACHE_NAME, blob)
     load_dataset(path)
+
+
+@FUZZ
+@given(st.one_of(st.none(), st.binary(max_size=32)), st.lists(st.binary(max_size=32), max_size=6),
+       st.integers(0, 7))
+def test_write_file_keeps_the_old_bytes_or_all_the_new(tmp_path, old, parts, cut):
+    """Interrupted after `cut` parts (cut <= len(parts)) or complete, a write leaves the
+    target with its old bytes (or absent) or all of the new ones, and no .tmp file."""
+    path = tmp_path / "out" / "target.bin"
+    if old is None:
+        path.unlink(missing_ok=True)
+    else:
+        write_file(path, [old])
+
+    def parts_then_interrupt():
+        yield from parts[:cut]
+        if cut <= len(parts):
+            raise KeyboardInterrupt
+
+    try:
+        write_file(path, parts_then_interrupt())
+        assert cut > len(parts) and path.read_bytes() == b"".join(parts)
+    except KeyboardInterrupt:
+        assert cut <= len(parts)
+        assert (path.read_bytes() if path.exists() else None) == old
+    assert {p.name for p in path.parent.iterdir()} <= {"target.bin"}
