@@ -20,6 +20,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -79,6 +80,16 @@ class RunConfig:
         source, _, root = self.data.partition(":")
         if self.data != "synthetic" and not (source == "modelnet40" and root):
             raise ConfigError(f"data must be synthetic or modelnet40:<dir>, got {self.data!r}")
+        # config.ini must read each back as itself: it strips values, splits lists at commas
+        texts = [("data", self.data)] + [("class name", n) for n in self.class_names or ()]
+        for what, text in texts:
+            why = ("is empty" if not text else "is padded with whitespace" if text != text.strip()
+                   else "holds a line break" if len(text.splitlines()) > 1
+                   else "holds a comma" if what != "data" and "," in text
+                   else "holds a non-UTF-8 byte" if text.encode(errors="replace").decode() != text
+                   else None)
+            if why:
+                raise ConfigError(f"{what} {text!r} {why}, so config.ini cannot hold it")
         if self.points is not None and self.points > MAX_CLOUD_POINTS:
             raise ConfigError(f"points must be <= {MAX_CLOUD_POINTS}, the largest cloud a "
                               f"cache record holds, got {self.points}")
@@ -96,7 +107,7 @@ class RunConfig:
         base = SYNTH_MODEL if self.source() == "synthetic" else ModelConfig()
         over = {"points_in" if key == "points" else key: getattr(self, key)
                 for key in _SECTIONS["model"] if getattr(self, key) is not None}
-        if self.class_names:
+        if self.class_names is not None:  # no class at all fails ModelConfig's check
             over["num_classes"] = len(self.class_names)
         return replace(base, variant=self.variant, **over)
 
@@ -110,8 +121,12 @@ _SECTIONS = {
 _HINTS = get_type_hints(RunConfig)
 
 
+# values as written (no `%` interpolation); no section is special, so [DEFAULT] is unknown
+_ini_parser = partial(configparser.ConfigParser, interpolation=None, default_section=None)
+
+
 def config_to_ini(cfg: RunConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = _ini_parser()
     for section, keys in _SECTIONS.items():
         parser[section] = {}
         for key in keys:
@@ -129,7 +144,7 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 def config_from_ini(text: str) -> RunConfig:
     """Parse a run config; malformed INI, an unknown key or a bad value raises ConfigError."""
-    parser = configparser.ConfigParser()
+    parser = _ini_parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -22,15 +22,14 @@ from .errors import ContextError, DegenerateBatchError, DimensionError
 
 
 class Param:
-    """Trainable tensor with its latest gradient and optimizer-routing kind."""
+    """Trainable tensor with its latest gradient; its layer's kind routes it."""
 
-    __slots__ = ("name", "data", "grad", "kind")
+    __slots__ = ("name", "data", "grad")
 
-    def __init__(self, name: str, data: np.ndarray, kind: str):
+    def __init__(self, name: str, data: np.ndarray):
         self.name = name
         self.data = data
         self.grad: np.ndarray | None = None
-        self.kind = kind
 
 
 def quantize_shift(w_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,15 +73,25 @@ class Layer:
     """Base: parameter listing and one-shot context bookkeeping."""
 
     name = "layer"
+    _ctx = None
 
     def params(self) -> list[Param]:
         return []
 
     def _take_ctx(self):
-        if getattr(self, "_ctx", None) is None:
+        if self._ctx is None:
             raise ContextError(f"{self.name}: backward without a pending forward context")
         ctx, self._ctx = self._ctx, None
         return ctx
+
+
+def _dense_backward(layer, x, w, dy, need_input_grad: bool):
+    """Sets layer.w.grad = dy^T x over the flattened rows; returns dy w in the
+    shape of x, or None when the input needs no gradient."""
+    xf = x.reshape(-1, layer.c_in)
+    dyf = dy.reshape(-1, layer.c_out)
+    layer.w.grad = dyf.T @ xf
+    return (dyf @ w).reshape(x.shape) if need_input_grad else None
 
 
 class MulLinear(Layer):
@@ -93,9 +102,8 @@ class MulLinear(Layer):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "mul"):
         self.name = name
         self.c_in, self.c_out = c_in, c_out
-        self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in), "mul")
-        self.b = Param(f"{name}.b", np.zeros(c_out, np.float32), "mul")
-        self._ctx = None
+        self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in))
+        self.b = Param(f"{name}.b", np.zeros(c_out, np.float32))
 
     def params(self):
         return [self.w, self.b]
@@ -107,13 +115,8 @@ class MulLinear(Layer):
 
     def backward(self, dy, need_input_grad: bool = True):
         x = self._take_ctx()
-        xf = x.reshape(-1, self.c_in)
-        dyf = dy.reshape(-1, self.c_out)
-        self.w.grad = dyf.T @ xf
-        self.b.grad = tensor.column_sum(dyf)
-        if not need_input_grad:
-            return None
-        return (dyf @ self.w.data).reshape(x.shape)
+        self.b.grad = tensor.column_sum(dy.reshape(-1, self.c_out))
+        return _dense_backward(self, x, self.w.data, dy, need_input_grad)
 
 
 class ShiftLinear(Layer):
@@ -130,8 +133,7 @@ class ShiftLinear(Layer):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "shift"):
         self.name = name
         self.c_in, self.c_out = c_in, c_out
-        self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in), "shift")
-        self._ctx = None
+        self.w = Param(f"{name}.w", uniform_linear_init(rng, c_out, c_in))
 
     def params(self):
         return [self.w]
@@ -149,12 +151,8 @@ class ShiftLinear(Layer):
 
     def backward(self, dy, need_input_grad: bool = True):
         x, w_q = self._take_ctx()
-        xf = x.reshape(-1, self.c_in)
-        dyf = dy.reshape(-1, self.c_out)
-        self.w.grad = dyf.T @ xf  # straight-through: d(w_q)/d(w) taken as 1
-        if not need_input_grad:
-            return None
-        return (dyf @ w_q).reshape(x.shape)
+        # straight-through: d(w_q)/d(w) taken as 1, the input path uses w_q
+        return _dense_backward(self, x, w_q, dy, need_input_grad)
 
 
 class AdderLinear(Layer):
@@ -189,8 +187,7 @@ class AdderLinear(Layer):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "adder"):
         self.name = name
         self.c_in, self.c_out = c_in, c_out
-        self.w = Param(f"{name}.w", truncated_normal_init(rng, c_out, c_in), "adder")
-        self._ctx = None
+        self.w = Param(f"{name}.w", truncated_normal_init(rng, c_out, c_in))
 
     def params(self):
         return [self.w]
@@ -261,13 +258,12 @@ class BatchNorm(Layer):
     def __init__(self, channels: int, name: str = "bn"):
         self.name = name
         self.channels = channels
-        self.gamma = Param(f"{name}.gamma", np.ones(channels, np.float32), "norm")
-        self.beta = Param(f"{name}.beta", np.zeros(channels, np.float32), "norm")
+        self.gamma = Param(f"{name}.gamma", np.ones(channels, np.float32))
+        self.beta = Param(f"{name}.beta", np.zeros(channels, np.float32))
         self.running_mean = np.zeros(channels, np.float32)
         self.running_var = np.ones(channels, np.float32)
         self.momentum = 0.1
         self.eps = 1e-5
-        self._ctx = None
 
     def params(self):
         return [self.gamma, self.beta]

@@ -5,7 +5,7 @@ so its root-mean-square equals the constant ETA, which makes one
 learning rate work across adder layers whose raw gradient magnitudes vary
 by orders of magnitude. Everything else (mul, shift, norm parameters) uses
 a bias-corrected first/second-moment optimizer. The whole recipe is the
-tables below: RULES maps each parameter's layer kind to its optimizer kind,
+tables below: RULES maps each layer kind to its optimizer kind,
 RATES gives each optimizer kind its cosine learning-rate range, and ETA is
 the modulated gradient's RMS. `route_parameters` groups a model's
 parameters by RULES and `build_optimizers` pairs each group with its
@@ -73,16 +73,17 @@ class CosineSchedule:
 
 
 def route_parameters(model) -> dict[str, list]:
-    """Group trainables by optimizer kind, RULES[p.kind].
+    """Group trainables by optimizer kind, RULES[kind] of the layer that holds them.
 
-    Every parameter lands in exactly one group; an unknown kind raises
-    ConfigError. Only non-empty groups appear (a homogeneous model has one).
+    Every parameter lands in exactly one group, in the order of model.parameters();
+    an unknown kind raises ConfigError. Only non-empty groups appear.
     """
     groups: dict[str, list] = {}
-    for p in model.parameters():
-        if p.kind not in RULES:
-            raise ConfigError(f"parameter {p.name} has unrouted kind {p.kind!r}")
-        groups.setdefault(RULES[p.kind], []).append(p)
+    for _, layer in model.stages:
+        for p in layer.params():
+            if layer.kind not in RULES:
+                raise ConfigError(f"parameter {p.name} has unrouted kind {layer.kind!r}")
+            groups.setdefault(RULES[layer.kind], []).append(p)
     return groups
 
 

@@ -62,17 +62,6 @@ from scipy.spatial.distance import cdist
 
 from .errors import DimensionError, EmptyInputError, LabelError
 
-__all__ = [
-    "make_rng",
-    "substream",
-    "affine_map",
-    "pairwise_l1_neg",
-    "over_rows",
-    "column_sum",
-    "global_max_pool",
-    "softmax_cross_entropy",
-]
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 stream; a fixed seed reproduces the same draws on any host."""
@@ -146,10 +135,6 @@ def column_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0)
 
 
-def _flat_rows(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1, x.shape[-1])
-
-
 def affine_map(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Linear map over the channel axis: out[..., o] = sum_i w[o, i] * x[..., i] + bias[o].
 
@@ -160,7 +145,8 @@ def affine_map(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> 
     w = np.asarray(w)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise DimensionError(f"affine_map: input {x.shape} incompatible with weight {w.shape}")
-    acc = _flat_rows(x).astype(np.float64, copy=False) @ w.astype(np.float64, copy=False).T
+    acc = (x.reshape(-1, x.shape[-1]).astype(np.float64, copy=False)
+           @ w.astype(np.float64, copy=False).T)
     if bias is not None:
         bias = np.asarray(bias)
         if bias.shape != (w.shape[0],):
@@ -179,7 +165,7 @@ def pairwise_l1_neg(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise DimensionError(f"pairwise_l1_neg: input {x.shape} incompatible with weight {w.shape}")
-    xf = _flat_rows(x)
+    xf = x.reshape(-1, x.shape[-1])
     wf = w.astype(np.float64, copy=False)
     out = np.empty((xf.shape[0], wf.shape[0]), x.dtype)
     # float64 input copy and distances per block stay under BLOCK_BYTES, so

@@ -1,4 +1,3 @@
-import argparse
 import importlib.util
 import json
 import os
@@ -65,8 +64,30 @@ class TestConfigIni:
         default = RunConfig()
         assert [f.name for f in fields(RunConfig)
                 if getattr(every, f.name) == getattr(default, f.name)] == ["out"]
-        for cfg in (tiny_cfg(embed_widths=(4, 4, 8, 8)), every):
+        percent = RunConfig(data="modelnet40:/m/100%", class_names=("5%", "%(x)s"))
+        for cfg in (tiny_cfg(embed_widths=(4, 4, 8, 8)), every, percent):
             assert config_from_ini(config_to_ini(cfg)) == cfg
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(class_names=("a,b", "c")), "class name 'a,b' holds a comma"),
+        (dict(class_names=(" a",)), "class name ' a' is padded with whitespace"),
+        (dict(class_names=("a", "")), "class name '' is empty"),
+        (dict(class_names=("a\u2028b",)), "class name 'a\\u2028b' holds a line break"),
+        (dict(class_names=("caf\udce9",)), "class name 'caf\\udce9' holds a non-UTF-8 byte"),
+        (dict(class_names=()), "widths, classes and knn_k must be positive"),
+        (dict(data="modelnet40:/m\t"), "data 'modelnet40:/m\\t' is padded with whitespace"),
+        (dict(data="modelnet40:/a\nb"), "data 'modelnet40:/a\\nb' holds a line break"),
+    ])
+    def test_text_config_ini_cannot_hold_is_rejected(self, over, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**over)
+
+    def test_a_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        ini = tmp_path / "default.ini"
+        ini.write_text("[DEFAULT]\nseed = 3\nvariant = mul\n")
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {ini}: config has unknown section [DEFAULT]\n"
+        assert not (tmp_path / "run").exists()
 
     def test_points_sets_the_synthetic_cloud_size(self):
         train_ds, test_ds, _ = load_datasets(RunConfig(synth_per_class=4, points=96))
@@ -395,6 +416,26 @@ class TestMeshDirectoryTraining:
                          "--epochs", "0", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
             sampled.append(len(calls))
         assert sampled == [4, 4]  # one cloud per mesh, all in the first run
+
+    def test_a_percent_in_the_directory_trains_and_evaluates(self, tmp_path):
+        meshes = mesh_dir(tmp_path / "100%_meshes", ["slab", "tower"])
+        out = tmp_path / "run"
+        assert main(["train", "--data", f"modelnet40:{meshes}", "--points", "64",
+                     "--epochs", "0", "--out", str(out)]) == 0
+        assert config_from_ini((out / "config.ini").read_text()).data == f"modelnet40:{meshes}"
+        assert main(["eval", "--ckpt", str(out / "ckpt_best.bin")]) == 0
+
+    @pytest.mark.parametrize("name, why", [("a,b", "holds a comma"),
+                                           (" slab", "is padded with whitespace")])
+    def test_a_class_name_config_ini_cannot_hold_fails_before_the_run(self, tmp_path, capsys,
+                                                                      name, why):
+        meshes = mesh_dir(tmp_path / "meshes", [name, "tower"])
+        out = tmp_path / "run"
+        assert main(["train", "--data", f"modelnet40:{meshes}", "--points", "64",
+                     "--epochs", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: class name {name!r} {why}, so config.ini cannot hold it\n"
+        assert not out.exists()
 
 
 class TestDiagnostics:
@@ -912,26 +953,72 @@ class TestScripts:
         assert side["cpu_s"] > 0 and side["minor_faults"] > 0
         assert side["steal_ticks"] is None or side["steal_ticks"] >= 0
 
-    @pytest.mark.parametrize("script", ["run_desk_scale.py", "run_modelnet40.py"])
-    def test_stops_at_the_first_failed_command(self, tmp_path, script):
+    @pytest.mark.parametrize("source", ["synthetic", "modelnet40"])
+    def test_stops_at_the_first_failed_command(self, tmp_path, source):
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
-        argv = [sys.executable, str(root / "scripts" / script), "--seed", "-1",
-                "--epochs", "1", "--out", str(tmp_path / "runs")]
-        if script == "run_modelnet40.py":
-            argv.append(str(tmp_path / "meshes"))
+        data = source if source == "synthetic" else f"modelnet40:{tmp_path / 'meshes'}"
+        argv = [sys.executable, str(root / "scripts" / "run_variants.py"), "--data", data,
+                "--seed", "-1", "--epochs", "1", "--out", str(tmp_path / "runs")]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == "error: seed must be >= 0, got -1\n"
         assert "error" not in proc.stdout
 
-    @pytest.mark.parametrize("script", ["run_desk_scale", "run_modelnet40"])
-    def test_every_command_parses(self, tmp_path, capsys, script):
-        args = argparse.Namespace(out=str(tmp_path / "runs"), epochs=1, seed=7,
-                                  variants="mul,shift,add,sa", data=str(tmp_path / "meshes"))
-        argvs = list(_script(script).commands(args))
-        assert {argv[0] for argv in argvs} >= {"train", "eval", "grad-report"}
+    @pytest.mark.parametrize("source, densities", [("synthetic", "256,128,64,32"),
+                                                   ("modelnet40", "1024,512,256,128")])
+    def test_every_command_parses(self, tmp_path, capsys, source, densities):
+        drive = _script("run_variants")
+        data = source if source == "synthetic" else f"modelnet40:{tmp_path / 'meshes'}"
+        argvs = list(drive.commands(drive.parse_args(["--data", data])))
+        assert [argv[0] for argv in argvs].count("train") == 4
+        assert {argv[0] for argv in argvs} == {"train", "eval", "grad-report", "export"}
+        assert sum("packed_shift" in argv for argv in argvs) == 2  # shift and sa
         parser = cli.build_parser()
         for argv in argvs:
             parser.parse_args(argv)  # a flag the parser lacks exits 2
+            assert "--epochs" not in argv  # train picks the source's default
+            if argv[0] == "eval":
+                assert argv[argv.index("--densities") + 1] == densities
+
+    def test_synthetic_commands_are_the_desk_scale_ones(self, tmp_path, capsys):
+        drive = _script("run_variants")
+        out = tmp_path / "runs"
+        args = drive.parse_args(["--epochs", "60", "--seed", "7", "--out", str(out)])
+        desk = []
+        for v in ("mul", "shift", "add", "sa"):
+            run, ckpt = str(out / v), str(out / v / "ckpt_best.bin")
+            desk += [["train", "--variant", v, "--data", "synthetic", "--epochs", "60",
+                      "--seed", "7", "--out", run],
+                     ["eval", "--ckpt", ckpt, "--densities", "256,128,64,32", "--out", run],
+                     ["grad-report", "--ckpt", ckpt, "--batches", "4", "--out", run]]
+            desk += [["export", "--ckpt", ckpt, "--what", what, "--out", f"{run}/exports"]
+                     for what in ("weights_hist", "features", "packed_shift")
+                     if what != "packed_shift" or v in ("shift", "sa")]
+        parser = cli.build_parser()
+        assert ([vars(parser.parse_args(argv)) for argv in drive.commands(args)]
+                == [vars(parser.parse_args(argv)) for argv in desk])
+
+    def test_a_bad_data_source_exits_with_the_cli_error(self, tmp_path, capsys):
+        drive = _script("run_variants")
+        assert drive.run(drive.parse_args(["--data", "foo", "--out", str(tmp_path / "r")])) == 1
+        out, err = capsys.readouterr()
+        assert main(["train", "--data", "foo"]) == 1
+        assert (out, err) == ("", capsys.readouterr().err)
+        assert err == "error: data must be synthetic or modelnet40:<dir>, got 'foo'\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_driver_writes_every_report(self, tmp_path, capsys):
+        drive = _script("run_variants")
+        out = tmp_path / "runs"
+        assert drive.run(drive.parse_args(["--variants", "sa", "--epochs", "1",
+                                           "--out", str(out)])) == 0
+        run = out / "sa"
+        rows = [json.loads(line) for line in (run / "eval.jsonl").read_text().splitlines()]
+        assert [r["density"] for r in rows] == [256, 128, 64, 32]
+        assert {p.name for p in run.iterdir()} >= {"grad_report.json", "grad_report.txt"}
+        exports = {p.name for p in (run / "exports").iterdir()}
+        assert {"features.csv", "embed1.hist.csv", "embed1.values.csv"} <= exports
+        assert {n for n in exports if n.endswith(".saq1")} == {"embed1.saq1", "embed3.saq1",
+                                                                "encoder1.saq1"}

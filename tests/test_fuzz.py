@@ -11,7 +11,7 @@ from mulfree.cli import (RunConfig, config_from_ini, config_to_ini, load_checkpo
                          save_checkpoint)
 from mulfree.data import (CACHE_NAME, DatasetManifest, PointDataset, cache_read, cache_write,
                           load_dataset, parse_off, synth_shapes)
-from mulfree.errors import CacheError, MulfreeError
+from mulfree.errors import CacheError, ConfigError, MulfreeError
 from mulfree.framing import frame, write_file
 from mulfree.layers import quantize_shift
 from mulfree.models import build_model
@@ -169,6 +169,21 @@ def test_config_from_ini_mutations(muts, cut):
         config_from_ini(bytes(text[: len(text) - cut % 8]).decode())
     except MulfreeError:
         pass
+
+
+# any text a directory or class name may hold, weighted towards what INI syntax reads
+# (a lone surrogate is how Python names a non-UTF-8 byte of a directory name)
+INI_TEXT = st.text(st.characters() | st.sampled_from(",%\n\r\t []=#;\udce9"), max_size=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(INI_TEXT, st.none() | st.lists(INI_TEXT, max_size=4).map(tuple))
+def test_config_ini_holds_every_directory_and_class_name_it_accepts(root, class_names):
+    try:
+        cfg = RunConfig(data=f"modelnet40:{root}", class_names=class_names)
+    except ConfigError:
+        return
+    assert config_from_ini(config_to_ini(cfg)) == cfg
 
 
 @pytest.fixture(scope="module")

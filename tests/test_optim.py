@@ -80,7 +80,7 @@ class TestModulatedSgdStep:
 
 def adaptive_moment_steps(w, grads, lr):
     """Weights after one AdaptiveMoment step per gradient, and the optimizer."""
-    p = Param("w", w, "mul")
+    p = Param("w", w)
     opt = AdaptiveMoment([p])
     for g in grads:
         p.grad = g
@@ -166,6 +166,20 @@ class TestRouting:
         routed = [p for params in groups.values() for p in params]
         assert len(routed) == len(set(id(p) for p in routed))
         assert {id(p) for p in routed} == {id(p) for p in model.parameters()}
+
+    def test_groups_keep_the_order_of_the_parameters(self):
+        model = build_model(SMALL, substream(0, 0))
+        order = {id(p): i for i, p in enumerate(model.parameters())}
+        for params in route_parameters(model).values():
+            idx = [order[id(p)] for p in params]
+            assert idx == sorted(idx)
+
+    def test_the_layer_kind_routes_and_an_unknown_one_raises(self):
+        model = build_model(SMALL, substream(0, 0))
+        assert not hasattr(model.parameters()[0], "kind")
+        dict(model.stages)["embed2"].kind = "conv"
+        with pytest.raises(ConfigError, match="parameter embed2.w has unrouted kind 'conv'"):
+            route_parameters(model)
 
     def test_recipe_is_the_papers(self):
         assert optim.RULES == {"mul": "adaptive_moment", "shift": "adaptive_moment",
